@@ -11,7 +11,7 @@ import (
 	"repro/internal/hwtask"
 	"repro/internal/measure"
 	"repro/internal/nova"
-	"repro/internal/pl"
+	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/ucos"
@@ -66,83 +66,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// PaperCores builds the behavioural IP-core set for the paper's tasks.
-func PaperCores() map[uint16]pl.Accel {
-	cores := map[uint16]pl.Accel{}
-	for _, id := range hwtask.FFTTaskIDs {
-		cores[id] = apps.FFTCore{}
-	}
-	for _, id := range hwtask.QAMTaskIDs {
-		cores[id] = apps.QAMCore{}
-	}
-	return cores
-}
-
-// DefaultTaskMenu is the deterministic stand-in for T_hw's "randomly
-// selects a hardware task from the hardware task set" (§V-B). All VMs
-// draw from the shared QAM pool (Fig. 8: hardware tasks are shared
-// across guests — "one hardware task can be shared by any VM") plus a
-// per-VM FFT stage. This reproduces the paper's two §V-B growth
-// mechanisms with the right saturation: the probability that a request
-// finds its task owned by another VM — forcing a client reclaim with the
-// §IV-C consistency protocol — is roughly (N-1)/N, concave in N; and the
-// number of distinct FFT configurations competing for the two large PRRs
-// grows 1, 2, 3, 3, driving "more PCAP transfers" that likewise level
-// off.
-func DefaultTaskMenu(vm int) []uint16 {
-	return []uint16{
-		hwtask.TaskQAM4,
-		hwtask.TaskQAM16,
-		hwtask.TaskQAM64,
-		hwtask.FFTTaskIDs[vm%3], // per-VM FFT stage
-	}
-}
-
-// TaskPicker draws hardware-task IDs from a menu: pseudo-randomly
-// (xorshift32 — T_hw's selection stream) or cycling the menu in order (a
-// periodic sequence the reconfiguration prefetcher can learn). Shared by
-// T_hw below and the scenario engine's churn drivers.
-type TaskPicker struct {
-	state      uint32
-	menu       []uint16
-	pos        int
-	sequential bool
-}
-
-// NewMenuPicker builds a picker over an explicit menu.
-func NewMenuPicker(menu []uint16, seed uint32, sequential bool) *TaskPicker {
-	if seed == 0 {
-		seed = 0x9E3779B9
-	}
-	return &TaskPicker{state: seed, menu: menu, sequential: sequential}
-}
-
-// Next returns the next task ID in the stream.
-func (p *TaskPicker) Next() uint16 {
-	if p.sequential {
-		id := p.menu[p.pos%len(p.menu)]
-		p.pos++
-		return id
-	}
-	p.state ^= p.state << 13
-	p.state ^= p.state >> 17
-	p.state ^= p.state << 5
-	return p.menu[p.state%uint32(len(p.menu))]
-}
-
-// TaskParams returns the Run() parameters (input length and the
-// core-specific parameter register value) for a paper-catalog task. The
-// scenario engine's churn drivers share it with T_hw below.
-func TaskParams(id uint16) (length, param uint32) {
-	switch {
-	case id >= hwtask.TaskFFT256 && id <= hwtask.TaskFFT8192:
-		points := uint32(hwtask.FFTPoints(id))
-		return points * 4, points
-	default:
-		return 48, uint32(hwtask.QAMOrder(id))
-	}
-}
-
 // hwDriverTask is T_hw: the special guest task that exercises the
 // Hardware Task Manager. It acquires a pseudo-random task, runs it once
 // through its data section, and sleeps until the next request. When
@@ -150,7 +73,7 @@ func TaskParams(id uint16) (length, param uint32) {
 // iteration; under virtualization it parks so the VM keeps running.
 func hwDriverTask(cfg Config, vm int, done *bool, requests *int, stopWhenDone bool, onWarm func()) func(t *ucos.Task) {
 	return func(t *ucos.Task) {
-		picker := NewMenuPicker(DefaultTaskMenu(vm), cfg.Seed*2654435761+uint32(vm)*97, false)
+		picker := hwtask.NewMenuPicker(hwtask.DefaultTaskMenu(vm), cfg.Seed*2654435761+uint32(vm)*97, false)
 		if _, ok := t.OS.M.SetupDataSection(64 << 10); !ok {
 			panic("experiments: data section setup failed")
 		}
@@ -161,7 +84,7 @@ func hwDriverTask(cfg Config, vm int, done *bool, requests *int, stopWhenDone bo
 			id := picker.Next()
 			h, st := t.AcquireHw(id)
 			if h != nil {
-				length, param := TaskParams(id)
+				length, param := hwtask.TaskParams(id)
 				h.Run(t, 0x1000, 0x9000, length, param, 400)
 				if i >= cfg.Warmup {
 					*requests++
@@ -226,55 +149,25 @@ type VirtSystem struct {
 	warmed  int
 }
 
-// BuildVirtSystem boots the full virtualized stack of Fig. 8: Mini-NOVA,
-// the PL fabric with the paper's 4 PRRs and FFT/QAM bitstream catalog,
-// the Hardware Task Manager service PD, and n uCOS-II guest VMs each
-// running a workload task plus T_hw. With cfg.Cores >= 2 the stack is
-// partitioned: guests on core 0, the manager service on core 1.
+// BuildVirtSystem boots the full virtualized stack of Fig. 8 through
+// scenario.Build — Mini-NOVA, the PL fabric with the paper's 4 PRRs and
+// FFT/QAM bitstream catalog, the Hardware Task Manager service PD — and
+// adds n uCOS-II guest VMs each running a workload task plus T_hw. With
+// cfg.Cores >= 2 the stack is statically partitioned (Bao-style): the
+// guests share core 0 and the manager service owns core 1, the paper's
+// intended Zynq deployment.
 func BuildVirtSystem(cfg Config) *VirtSystem {
-	cores := cfg.Cores
-	if cores < 1 {
-		cores = 1
+	spec := scenario.Spec{Name: "virt", Cores: cfg.Cores, QuantumMs: cfg.QuantumMs, CacheBytes: cfg.CacheBytes}
+	var guestMask sched.CPUMask
+	if cfg.Cores > 1 {
+		spec.Policy, spec.ServiceCore = "partitioned", sched.MaskOf(1)
+		guestMask = sched.MaskOf(0)
 	}
-	k := nova.NewKernelSMP(cores)
-	quantum := simclock.FromMillis(cfg.QuantumMs)
-	var svcMask, guestMask sched.CPUMask
-	if cores > 1 {
-		// Static partitioning (Bao-style): the service owns core 1, the
-		// guests share core 0 — the paper's intended Zynq deployment.
-		k.Sched = sched.NewPartitioned(cores, quantum)
-		svcMask, guestMask = sched.MaskOf(1), sched.MaskOf(0)
-	} else {
-		k.Sched = sched.NewPrioRR(1, quantum)
-	}
-
-	caps := hwtask.PaperPRRCapacities()
-	fabric := pl.NewFabric(k.Clock, k.Bus, k.GIC, caps)
-	//detlint:ordered RegisterCore is a keyed insert; registration order is unobservable
-	for id, core := range PaperCores() {
-		fabric.RegisterCore(id, core)
-	}
-	k.AttachFabric(fabric)
-
-	if cfg.CacheBytes != 0 {
-		k.Reconfig.SetCacheCapacity(cfg.CacheBytes)
-	}
-
-	mgr := hwtask.NewManager(len(caps), nova.GuestUserBase+0x10_0000)
-	if err := hwtask.InstallTaskSet(mgr, k.Bus, nova.BitstreamStorePA(), caps, hwtask.PaperTaskSet()); err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	svc := hwtask.NewService(mgr, k)
-	svcPD := k.CreatePD(nova.PDConfig{
-		Name: "hwtm", Priority: nova.PrioService, Caps: nova.CapHwManager,
-		Guest: svc, CodeBase: nova.GuestUserBase, CodeSize: 8 << 10,
-		Affinity: svcMask, StartSuspended: true,
-	})
-	k.RegisterHwService(svcPD)
-
+	base := scenario.Build(spec)
+	k := base.Kernel
 	sys := &VirtSystem{
 		Kernel:  k,
-		Manager: mgr,
+		Manager: base.Manager,
 		done:    make([]bool, cfg.Guests),
 		reqs:    make([]int, cfg.Guests),
 	}
@@ -344,7 +237,7 @@ type NativeSystem struct {
 
 // BuildNativeSystem boots the baseline with the same two tasks.
 func BuildNativeSystem(cfg Config) *NativeSystem {
-	nm := ucos.NewNativeMachine(PaperCores())
+	nm := ucos.NewNativeMachine(hwtask.PaperCores())
 	os := ucos.NewOS("native-ucos", nm)
 	os.TickPeriod = simclock.FromMillis(cfg.TickMs)
 	sys := &NativeSystem{Machine: nm, OS: os, Probes: nm.Probes}

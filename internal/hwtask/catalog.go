@@ -3,6 +3,7 @@ package hwtask
 import (
 	"fmt"
 
+	"repro/internal/apps"
 	"repro/internal/bitstream"
 	"repro/internal/physmem"
 	"repro/internal/pl"
@@ -82,6 +83,82 @@ func PaperPRRCapacities() []bitstream.Resources {
 		{LUTs: 10000, BRAM: 32, DSP: 48},
 		{LUTs: 2200, BRAM: 4, DSP: 8},
 		{LUTs: 2200, BRAM: 4, DSP: 8},
+	}
+}
+
+// PaperCores builds the behavioural IP-core set for the paper's tasks.
+func PaperCores() map[uint16]pl.Accel {
+	cores := map[uint16]pl.Accel{}
+	for _, id := range FFTTaskIDs {
+		cores[id] = apps.FFTCore{}
+	}
+	for _, id := range QAMTaskIDs {
+		cores[id] = apps.QAMCore{}
+	}
+	return cores
+}
+
+// DefaultTaskMenu is the deterministic stand-in for T_hw's "randomly
+// selects a hardware task from the hardware task set" (§V-B). All VMs
+// draw from the shared QAM pool (Fig. 8: hardware tasks are shared
+// across guests — "one hardware task can be shared by any VM") plus a
+// per-VM FFT stage. This reproduces the paper's two §V-B growth
+// mechanisms with the right saturation: the probability that a request
+// finds its task owned by another VM — forcing a client reclaim with the
+// §IV-C consistency protocol — is roughly (N-1)/N, concave in N; and the
+// number of distinct FFT configurations competing for the two large PRRs
+// grows 1, 2, 3, 3, driving "more PCAP transfers" that likewise level
+// off.
+func DefaultTaskMenu(vm int) []uint16 {
+	return []uint16{
+		TaskQAM4,
+		TaskQAM16,
+		TaskQAM64,
+		FFTTaskIDs[vm%3], // per-VM FFT stage
+	}
+}
+
+// TaskPicker draws hardware-task IDs from a menu: pseudo-randomly
+// (xorshift32 — T_hw's selection stream) or cycling the menu in order (a
+// periodic sequence the reconfiguration prefetcher can learn). Shared by
+// the Table III T_hw driver and the scenario engine's churn drivers.
+type TaskPicker struct {
+	state      uint32
+	menu       []uint16
+	pos        int
+	sequential bool
+}
+
+// NewMenuPicker builds a picker over an explicit menu.
+func NewMenuPicker(menu []uint16, seed uint32, sequential bool) *TaskPicker {
+	if seed == 0 {
+		seed = 0x9E3779B9
+	}
+	return &TaskPicker{state: seed, menu: menu, sequential: sequential}
+}
+
+// Next returns the next task ID in the stream.
+func (p *TaskPicker) Next() uint16 {
+	if p.sequential {
+		id := p.menu[p.pos%len(p.menu)]
+		p.pos++
+		return id
+	}
+	p.state ^= p.state << 13
+	p.state ^= p.state >> 17
+	p.state ^= p.state << 5
+	return p.menu[p.state%uint32(len(p.menu))]
+}
+
+// TaskParams returns the Run() parameters (input length and the
+// core-specific parameter register value) for a paper-catalog task.
+func TaskParams(id uint16) (length, param uint32) {
+	switch {
+	case id >= TaskFFT256 && id <= TaskFFT8192:
+		points := uint32(FFTPoints(id))
+		return points * 4, points
+	default:
+		return 48, uint32(QAMOrder(id))
 	}
 }
 

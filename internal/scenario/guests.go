@@ -3,7 +3,6 @@ package scenario
 import (
 	"repro/internal/abi"
 	"repro/internal/apps"
-	"repro/internal/experiments"
 	"repro/internal/hwtask"
 	"repro/internal/ucos"
 )
@@ -12,15 +11,15 @@ import (
 // menu, or the Table III mix (shared QAM pool + per-VM FFT stage) when
 // none is given — the same picker T_hw uses, so scenario traffic mirrors
 // the Table III traffic by construction.
-func newPicker(vm VM, vmIndex int, seed uint32) *experiments.TaskPicker {
+func newPicker(vm VM, vmIndex int, seed uint32) *hwtask.TaskPicker {
 	menu := vm.HwMenu
 	if len(menu) == 0 {
-		menu = experiments.DefaultTaskMenu(vmIndex)
+		menu = hwtask.DefaultTaskMenu(vmIndex)
 	}
-	return experiments.NewMenuPicker(menu, seed, vm.HwSequential)
+	return hwtask.NewMenuPicker(menu, seed, vm.HwSequential)
 }
 
-// churnTask is the scenario counterpart of the experiments' T_hw driver:
+// churnTask is the scenario counterpart of the Table III T_hw driver:
 // it acquires a menu task, runs it once through the data section, and
 // sleeps HwGapTicks — forever, until the scenario's runtime budget ends.
 // With ReleaseEvery set it periodically hands the task back to the
@@ -48,7 +47,7 @@ func (s *System) churnTask(p *vmProbe, vmIndex int, seed uint32) func(t *ucos.Ta
 			if h != nil {
 				p.acq.Add(t.OS.M.Now() - t0)
 				backoff = 0
-				length, param := experiments.TaskParams(id)
+				length, param := hwtask.TaskParams(id)
 				if h.Run(t, 0x1000, 0x9000, length, param, 400) {
 					p.requests++
 				} else {

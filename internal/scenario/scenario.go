@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/gic"
 	"repro/internal/hwtask"
@@ -99,7 +98,7 @@ type Spec struct {
 	ServiceCore sched.CPUMask
 
 	// Trace enables the kernel's structured-event tracing (per-core
-	// bounded rings + metrics). Tracing never touches checksummed state:
+	// bounded rings). Tracing never touches checksummed state:
 	// a traced run's checksum is byte-identical to an untraced one.
 	Trace bool
 	// TraceCapacity overrides the per-core ring capacity (0 = default).
@@ -196,7 +195,7 @@ func Build(spec Spec) *System {
 	caps := hwtask.PaperPRRCapacities()
 	fabric := pl.NewFabric(k.Clock, k.Bus, k.GIC, caps)
 	//detlint:ordered RegisterCore is a keyed insert; registration order is unobservable
-	for id, core := range experiments.PaperCores() {
+	for id, core := range hwtask.PaperCores() {
 		fabric.RegisterCore(id, core)
 	}
 	k.AttachFabric(fabric)
