@@ -7,8 +7,8 @@
 // go.mod has no third-party requirements and the analyzers only need the
 // subset below — an Analyzer descriptor, a per-package Pass carrying the
 // type-checked syntax, and positional diagnostics. Drivers (cmd/detlint
-// in both standalone and `go vet -vettool` unitchecker mode, and the
-// analysistest harness) construct Passes from whatever source they load.
+// and the analysistest harness) construct Passes from whatever source
+// they load.
 package analysis
 
 import (

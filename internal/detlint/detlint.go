@@ -1,7 +1,6 @@
 // Package detlint bundles the simulator's custom determinism, ABI and
 // trace-discipline analyzers behind one registry, plus the driver logic
-// shared by the standalone cmd/detlint binary, the `go vet -vettool`
-// unitchecker mode, and the repo-wide cleanliness test.
+// shared by the cmd/detlint binary and the repo-wide cleanliness test.
 //
 // The invariants encoded here exist because their violations happened:
 // PR 4 chased a scenario-checksum divergence to vGIC distributor

@@ -105,14 +105,14 @@ func (t *Tracer) Core(i int) *Ring {
 	return t.rings[i]
 }
 
-// Registry is not a writer type: locks and bare state access are fine.
-type Registry struct {
+// Counter is not a writer type: locks and bare state access are fine.
+type Counter struct {
 	mu sync.Mutex
 	n  int
 }
 
 // Inc is outside the discipline.
-func (g *Registry) Inc() {
+func (g *Counter) Inc() {
 	g.mu.Lock()
 	g.n++
 	g.mu.Unlock()
