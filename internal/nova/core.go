@@ -2,7 +2,6 @@ package nova
 
 import (
 	"repro/internal/cpu"
-	"repro/internal/measure"
 	"repro/internal/simclock"
 	"repro/internal/timer"
 )
@@ -41,11 +40,6 @@ type CoreCtx struct {
 	// unit (lazy switch state, Table I) — per-core, as on silicon.
 	vfpOwner *PD
 
-	// yieldCh is the coroutine handoff between this core's kernel loop
-	// and the PD goroutine it activated — per-core, so concurrent cores
-	// hand off independently.
-	yieldCh chan yieldReason
-
 	// ipcFastCalls counts same-core synchronous portal-call handoffs
 	// taken on this core (sharded so concurrent cores never share the
 	// counter; Kernel.IPCFastCalls sums).
@@ -65,73 +59,39 @@ func (c *CoreCtx) Utilization(now simclock.Cycles) float64 {
 	return float64(c.BusyCycles) / float64(now)
 }
 
-// runCore gives core c one scheduling window: pick from c's runqueue,
-// switch in, and let the PD run until it yields (quantum expiry, block,
-// horizon, or a reschedule kick). Reports whether the core found anything
-// to run. This is the single-core reference loop's window; multi-core
-// machines run epochs (runCoreEpoch).
+// runCore gives core c one scheduling window bounded by until: the
+// single-core reference loop's step. Reports whether the core found
+// anything to run.
 func (k *Kernel) runCore(c *CoreCtx, until simclock.Cycles) bool {
-	var pd *PD
-	for {
-		n := k.Sched.Pick(c.ID)
-		if n == nil {
-			return false
-		}
-		pd = n.Owner.(*PD)
-		if !pd.dead {
-			break
-		}
-		k.Sched.Dequeue(n)
+	pd := k.pickLive(c)
+	if pd == nil {
+		return false
 	}
-
-	k.worldSwitch(c, pd)
-	// Complete the Table III "HW Manager exit" probe on the activation
-	// that resumes a guest: on a single core this instant coincides with
-	// the world switch away from the service.
-	if k.mgrExitArmed && pd != k.hwSvc {
-		k.Probes.Add(measure.PhaseMgrExit, k.Clock.Now()-k.mgrExitFrom)
-		k.mgrExitArmed = false
-	}
-	c.needResched = false
-	c.quantumExpired = false
-	if pd.VCPU.QuantumLeft == 0 {
-		pd.VCPU.QuantumLeft = k.Sched.Quantum()
-	}
-	c.Timer.Start(pd.VCPU.QuantumLeft, true)
-
-	// Bound the activation by the caller's horizon.
-	stop := k.Clock.At(until, func(simclock.Cycles) { c.needResched = true })
-
-	start := k.Clock.Now()
-	c.CPU.Mode, c.CPU.IRQMasked = cpu.ModeUSR, false
-	k.activate(c, pd)
-	elapsed := k.Clock.Now() - start
-	c.Timer.Stop()
-	k.Clock.Cancel(stop)
-	c.BusyCycles += elapsed
-
-	if c.quantumExpired || elapsed >= pd.VCPU.QuantumLeft {
-		// Slice fully consumed: fresh quantum next time, go to the back
-		// of the priority circle (round-robin, §III-D).
-		pd.VCPU.QuantumLeft = 0
-		if k.Sched.Queued(&pd.node) {
-			k.Sched.Rotate(c.ID, pd.Priority)
-		}
-	} else {
-		// Paused early (preemption, horizon, cross-core kick): carry the
-		// remaining quantum (§III-D).
-		pd.VCPU.QuantumLeft -= elapsed
-	}
+	k.runCoreEpoch(c, pd, until)
 	return true
 }
 
-// activate hands core c to pd and waits for the PD to yield.
-func (k *Kernel) activate(c *CoreCtx, pd *PD) yieldReason {
-	pd.resumeCh <- resumeCmd{}
-	r := <-c.yieldCh
+// pickLive returns the PD core c's policy would run next, dequeuing
+// retired PDs on the way; nil when c has nothing runnable.
+func (k *Kernel) pickLive(c *CoreCtx) *PD {
+	for {
+		n := k.Sched.Pick(c.ID)
+		if n == nil {
+			return nil
+		}
+		if pd := n.Owner.(*PD); !pd.dead {
+			return pd
+		}
+		k.Sched.Dequeue(n)
+	}
+}
+
+// activate hands core c to pd and returns when the PD yields or its
+// guest exits.
+func (k *Kernel) activate(c *CoreCtx, pd *PD) {
+	pd.resume()
 	// Kernel loop regains the core in SVC, IRQs masked.
 	c.CPU.Mode, c.CPU.IRQMasked = cpu.ModeSVC, true
-	return r
 }
 
 // idleUntil advances to the next event (or until) with every core's

@@ -251,19 +251,7 @@ func (k *Kernel) runSlice(c *CoreCtx, w simclock.Cycles) {
 	c.CPU.PollIRQ()
 	c.CPU.IRQMasked = true
 	for c.Clock.Now() < w {
-		var pd *PD
-		for {
-			n := k.Sched.Pick(c.ID)
-			if n == nil {
-				break
-			}
-			p := n.Owner.(*PD)
-			if !p.dead {
-				pd = p
-				break
-			}
-			k.Sched.Dequeue(n)
-		}
+		pd := k.pickLive(c)
 		if pd == nil {
 			d, ok := c.Clock.NextDeadline()
 			if !ok || d > w {
@@ -286,9 +274,10 @@ func (k *Kernel) runSlice(c *CoreCtx, w simclock.Cycles) {
 	}
 }
 
-// runCoreEpoch gives core c one scheduling window bounded by the epoch
-// edge — the epoch engine's counterpart of runCore, driven by the core's
-// own clock.
+// runCoreEpoch gives core c one scheduling window bounded by w (an epoch
+// edge, or the single-core loop's horizon): switch pd in and let it run
+// until it yields (quantum expiry, block, horizon, or a reschedule kick).
+// It is driven by the core's own clock, which on one core is k.Clock.
 func (k *Kernel) runCoreEpoch(c *CoreCtx, pd *PD, w simclock.Cycles) {
 	k.worldSwitch(c, pd)
 	// Complete the Table III "HW Manager exit" probe when the manager's own

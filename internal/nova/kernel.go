@@ -2,6 +2,7 @@ package nova
 
 import (
 	"fmt"
+	"iter"
 	"strings"
 	"sync"
 
@@ -32,27 +33,10 @@ type pcapOwner struct {
 // register access (GIC, devcfg, PRR controller) — uncached, so constant.
 const CostDeviceAccess = 20
 
-// yieldReason says why a PD handed the CPU back to the kernel loop.
-type yieldReason int
-
-const (
-	yieldPreempt yieldReason = iota // quantum expiry or higher-prio wakeup
-	yieldBlocked                    // blocked in a hypercall
-	yieldExited                     // guest Main returned
-)
-
-type resumeCmd struct{ kill bool }
-
-// killSentinel unwinds a guest goroutine during Kernel.Shutdown. The
-// IsKillSentinel marker lets nested coroutine layers (e.g. a ucos task
-// goroutine blocked inside a hypercall) recognize and absorb the unwind
-// without importing this package.
-type killSentinelType struct{}
-
-// IsKillSentinel marks the value as a cooperative-shutdown panic.
-func (killSentinelType) IsKillSentinel() {}
-
-var killSentinel = killSentinelType{}
+// guestKill unwinds a guest coroutine stopped by the kernel (Shutdown,
+// DestroyClone, RestoreInPlace). guestWrapper recovers it; nested
+// coroutine layers inside the guest let it pass.
+type guestKill struct{}
 
 // Kernel is the Mini-NOVA microkernel instance: the abstraction layer
 // between the simulated Zynq PS/PL hardware and the protection domains it
@@ -115,11 +99,6 @@ type Kernel struct {
 	// prrBusySnap is the barrier-refreshed PRR busy snapshot cores poll
 	// through PRRBusy during an epoch.
 	prrBusySnap []bool
-
-	// dying is closed by Shutdown; every coroutine handoff selects on it
-	// so parked guest (and nested guest-task) goroutines unwind promptly.
-	dying    chan struct{}
-	shutdown bool
 
 	// Capability layer: the global service-portal objects (selector-
 	// indexed), the kernel's own root space (device objects are minted
@@ -218,7 +197,6 @@ func NewKernelSMP(ncores int) *Kernel {
 		Epoch:     DefaultEpoch,
 		committer: simclock.NewCommitter(ncores),
 		hwByID:    make(map[uint32]*HwRequest),
-		dying:     make(chan struct{}),
 		sd:        make(map[uint32][]byte),
 		asidNext:  1,
 	}
@@ -251,11 +229,10 @@ func NewKernelSMP(ncores int) *Kernel {
 			cclk = simclock.New()
 		}
 		c := &CoreCtx{
-			ID:      i,
-			Clock:   cclk,
-			CPU:     cpu.NewCore(cclk, bus, g, i, hier[i]),
-			Timer:   timer.NewFor(cclk, g, i),
-			yieldCh: make(chan yieldReason),
+			ID:    i,
+			Clock: cclk,
+			CPU:   cpu.NewCore(cclk, bus, g, i, hier[i]),
+			Timer: timer.NewFor(cclk, g, i),
 		}
 		c.CPU.Mode = cpu.ModeSVC
 		c.CPU.CP15Write(cpu.CP15TTBR0, uint32(k.kernelPT.Base))
@@ -462,9 +439,7 @@ func (k *Kernel) CreatePD(cfg PDConfig) *PD {
 	ctx := cpu.NewExecContext(pd.Core.CPU, cfg.Name, cfg.CodeBase, cfg.CodeSize)
 	pd.Env = &Env{K: k, PD: pd, Ctx: ctx}
 
-	pd.resumeCh = make(chan resumeCmd)
-	pd.doneCh = make(chan struct{})
-	go k.guestWrapper(pd)
+	k.guestWrapper(pd)
 
 	k.PDs = append(k.PDs, pd)
 	if k.Tracer != nil {
@@ -518,57 +493,29 @@ func (k *Kernel) delegateClientHandle(pd *PD) {
 	pd.Space.Delegate(SelSelf, k.hwSvc.Space, SelMgrClientBase+pd.ID, capspace.RightCall)
 }
 
+// guestWrapper makes pd's guest a coroutine: activate resumes it, its
+// Env.yield suspends it, and pd.stop unwinds it synchronously. A guest
+// that returns retires its PD; its coroutine then ends, so the PD is
+// never picked again.
 func (k *Kernel) guestWrapper(pd *PD) {
-	defer close(pd.doneCh)
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(interface{ IsKillSentinel() }); ok {
-				return
+	pd.resume, pd.stop = iter.Pull(func(yield func(struct{}) bool) {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(guestKill); !ok {
+					panic(r)
+				}
 			}
-			panic(r)
-		}
-	}()
-	select {
-	case cmd := <-pd.resumeCh:
-		if cmd.kill {
-			return
-		}
-	case <-k.dying:
-		return
-	}
-	pd.Guest.RunSlice(pd.Env)
-	// Guest finished. During Shutdown every guest goroutine unwinds
-	// concurrently (a guest whose RunSlice observes Dying returns here
-	// normally instead of panicking), so kernel state must not be touched:
-	// the coroutine discipline — one goroutine holds the logical CPU at a
-	// time — no longer applies, and Shutdown discards the scheduler anyway.
-	select {
-	case <-k.dying:
-		return
-	default:
-	}
-	// Retire the PD and release its scheduler placement. Portal callers
-	// parked on the dead PD (queued, or awaiting its reply) would block
-	// forever — fail them out.
-	pd.dead = true
-	k.Sched.Unplace(&pd.node)
-	k.failPortalCallers(pd)
-	k.reconfigPurge(pd)
-	for {
-		select {
-		case pd.Core.yieldCh <- yieldExited:
-		case <-k.dying:
-			return
-		}
-		select {
-		case cmd := <-pd.resumeCh:
-			if cmd.kill {
-				return
-			}
-		case <-k.dying:
-			return
-		}
-	}
+		}()
+		pd.yield = yield
+		pd.Guest.RunSlice(pd.Env)
+		// Retire the PD and release its scheduler placement. Portal callers
+		// parked on the dead PD (queued, or awaiting its reply) would block
+		// forever — fail them out.
+		pd.dead = true
+		k.Sched.Unplace(&pd.node)
+		k.failPortalCallers(pd)
+		k.reconfigPurge(pd)
+	})
 }
 
 // reconfigPurge sheds a dead PD's reconfiguration state: queued requests
@@ -602,28 +549,14 @@ func (k *Kernel) reconfigPurge(pd *PD) {
 	}
 }
 
-// Dying exposes the shutdown signal so nested coroutine layers inside
-// guests (e.g. ucos task goroutines) can unwind with the kernel.
-func (k *Kernel) Dying() <-chan struct{} { return k.dying }
-
-// yield hands the core from the active PD's goroutine back to the kernel
-// loop, preserving the architectural mode across the switch-out.
-func (e *Env) yield(r yieldReason) {
-	k := e.K
+// yield hands the core from the active PD's coroutine back to the kernel
+// loop, preserving the architectural mode across the switch-out. A
+// stopped coroutine unwinds from here.
+func (e *Env) yield() {
 	c := e.PD.Core.CPU
 	savedMode, savedMask := c.Mode, c.IRQMasked
-	select {
-	case e.PD.Core.yieldCh <- r:
-	case <-k.dying:
-		panic(killSentinel)
-	}
-	select {
-	case cmd := <-e.PD.resumeCh:
-		if cmd.kill {
-			panic(killSentinel)
-		}
-	case <-k.dying:
-		panic(killSentinel)
+	if !e.PD.yield(struct{}{}) {
+		panic(guestKill{})
 	}
 	c.Mode, c.IRQMasked = savedMode, savedMask
 }
@@ -633,17 +566,17 @@ func (e *Env) yield(r yieldReason) {
 func (e *Env) CheckPreempt() {
 	e.PendingVIRQ()
 	if e.PD.Core.needResched {
-		e.yield(yieldPreempt)
+		e.yield()
 		e.PendingVIRQ()
 	}
 }
 
 // Block suspends the calling PD until another event re-enqueues it. Used
-// by kernel handlers running in the caller's goroutine.
+// by kernel handlers running in the caller's coroutine.
 func (e *Env) block() {
 	e.K.Sched.Dequeue(&e.PD.node)
 	e.PD.Core.needResched = true
-	e.yield(yieldBlocked)
+	e.yield()
 }
 
 // Run executes the system until the given absolute simulated time. A
@@ -679,17 +612,13 @@ func (k *Kernel) Run(until simclock.Cycles) {
 // RunFor advances the system by d cycles.
 func (k *Kernel) RunFor(d simclock.Cycles) { k.Run(k.Clock.Now() + d) }
 
-// Shutdown terminates every guest goroutine (including goroutines nested
-// inside guests that observe Dying). The kernel is unusable afterwards;
-// tests and benchmarks call it to avoid leaking goroutines.
+// Shutdown stops every guest coroutine; each unwinds, with any
+// coroutines nested inside it, before Shutdown returns. The kernel is
+// unusable afterwards; tests and benchmarks call it to avoid leaking
+// goroutines. It is safe to call more than once.
 func (k *Kernel) Shutdown() {
-	if k.shutdown {
-		return
-	}
-	k.shutdown = true
-	close(k.dying)
 	for _, pd := range k.PDs {
-		<-pd.doneCh
+		pd.stop()
 	}
 }
 

@@ -1,6 +1,7 @@
 package nova
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -367,6 +368,7 @@ func TestSDSupervisedIO(t *testing.T) {
 }
 
 func TestShutdownTerminatesGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
 	k := NewKernel()
 	for i := 0; i < 3; i++ {
 		k.CreatePD(PDConfig{Name: "g", Priority: PrioGuest, Guest: &scriptGuest{"g", func(env *Env) {
@@ -378,13 +380,24 @@ func TestShutdownTerminatesGoroutines(t *testing.T) {
 	}
 	k.RunFor(simclock.FromMillis(1))
 	k.Shutdown() // must not deadlock
-	for _, pd := range k.PDs {
-		select {
-		case <-pd.doneCh:
-		default:
-			t.Errorf("pd %s goroutine still alive after Shutdown", pd.Name_)
-		}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines: %d before NewKernel, %d after Shutdown", before, after)
 	}
+}
+
+func TestGuestPanicSurfacesFromRun(t *testing.T) {
+	k := NewKernel()
+	defer k.Shutdown() // must return although the guest died mid-run
+	k.CreatePD(PDConfig{Name: "bad", Priority: PrioGuest, Guest: &scriptGuest{"bad", func(env *Env) {
+		env.CheckPreempt()
+		panic("boom")
+	}}})
+	defer func() {
+		if r := recover(); r != "boom" {
+			t.Errorf("RunFor panicked with %v, want boom", r)
+		}
+	}()
+	k.RunFor(simclock.FromMillis(1))
 }
 
 func TestGuestExitRetiresPD(t *testing.T) {

@@ -12,12 +12,12 @@ import (
 
 // Guest is the software hosted inside a protection domain: a
 // paravirtualized OS, a user service (the Hardware Task Manager), or a
-// bare application. Main runs once, in the PD's own goroutine; control is
-// handed back and forth with the kernel loop through strict channel
-// handoff, so exactly one logical thread of execution exists — the model
-// of a single Cortex-A9 core. All of the guest's instruction and memory
-// traffic must go through env.Ctx so it is charged to the shared machine,
-// and the guest must call env.CheckPreempt() at chunk boundaries.
+// bare application. Main runs once, as the PD's own coroutine; control is
+// handed back and forth with the kernel loop, so exactly one logical
+// thread of execution exists per core — the model of a Cortex-A9 core.
+// All of the guest's instruction and memory traffic must go through
+// env.Ctx so it is charged to the shared machine, and the guest must call
+// env.CheckPreempt() at chunk boundaries.
 type Guest interface {
 	// Name labels the guest in traces.
 	Name() string
@@ -143,10 +143,12 @@ type PD struct {
 	breaker       fault.Breaker
 	reconfigFault bool
 
-	// Coroutine plumbing.
-	resumeCh chan resumeCmd
-	doneCh   chan struct{}
-	dead     bool
+	// Coroutine plumbing (guestWrapper): resume runs the guest until it
+	// yields, stop unwinds it, and yield is the guest's side of resume.
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
+	dead   bool
 
 	// node is the PD's handle on the scheduling subsystem (intrusive;
 	// lives on its home core's runqueue when runnable).

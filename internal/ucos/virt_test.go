@@ -1,6 +1,7 @@
 package ucos
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -59,6 +60,28 @@ func TestVirtUCOSBootsAndTicks(t *testing.T) {
 	}
 	if guests[0].OS.Ticks < 15 {
 		t.Errorf("guest saw %d ticks in 20ms at 1ms period, want ~19", guests[0].OS.Ticks)
+	}
+}
+
+// TestVirtShutdownTerminatesTasks stops the hypervisor while every VM's
+// tasks are parked mid-Delay or inside a hypercall: the nested task
+// coroutines must unwind with their PDs.
+func TestVirtShutdownTerminatesTasks(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k, _ := virtSystem(t, 3, func(_ int, os *OS) {
+		for prio := 10; prio < 13; prio++ {
+			os.TaskCreate("loop", prio, func(task *Task) {
+				for {
+					task.Exec(200)
+					task.Delay(1)
+				}
+			})
+		}
+	})
+	k.RunFor(simclock.FromMillis(10))
+	k.Shutdown()
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines: %d before NewKernel, %d after Shutdown", before, after)
 	}
 }
 
