@@ -47,22 +47,13 @@ type line struct {
 	tag   uint32
 	valid bool
 	dirty bool
-	lru   uint64 // last-touch stamp; larger is more recent
 }
 
-// Policy selects the replacement policy.
-type Policy int
-
-// Replacement policies. The Cortex-A9's L1 caches replace pseudo-randomly
-// (TRM r4p1 §7.1) and the PL310 L2 defaults to a similar non-LRU scheme;
-// pseudo-random replacement also produces the gradual miss-probability
-// growth with occupancy that strict LRU hides behind a capacity cliff.
-const (
-	PolicyRandom Policy = iota
-	PolicyLRU
-)
-
-// Cache is one set-associative, write-back, write-allocate cache level.
+// Cache is one set-associative, write-back, write-allocate cache level with
+// pseudo-random replacement: the Cortex-A9's L1 caches replace
+// pseudo-randomly (TRM r4p1 §7.1) and the PL310 L2 defaults to a similar
+// non-LRU scheme, which also produces the gradual miss-probability growth
+// with occupancy that strict LRU hides behind a capacity cliff.
 // Lines live in one contiguous backing array (set-major: set*ways+way) and
 // are indexed by shift/mask arithmetic — no per-set slice headers on the
 // per-access hot path.
@@ -72,9 +63,7 @@ type Cache struct {
 	ways     int
 	setMask  uint32 // nsets - 1
 	setShift uint   // log2(nsets); tag = lineAddr >> setShift
-	stamp    uint64
 	rng      uint32
-	policy   Policy
 	stats    Stats
 	epoch    uint64 // bumped on every fill/invalidate (residency mutation)
 }
@@ -103,21 +92,11 @@ func New(name string, sizeBytes, ways int) *Cache {
 	}
 }
 
-// NewLRU builds a cache with strict LRU replacement (for ablations).
-func NewLRU(name string, sizeBytes, ways int) *Cache {
-	c := New(name, sizeBytes, ways)
-	c.policy = PolicyLRU
-	return c
-}
-
 // Name returns the cache's identifying name (e.g. "L1D").
 func (c *Cache) Name() string { return c.name }
 
 // Stats returns a copy of the event counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// ResetStats zeroes the counters without touching cache contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // set returns the flat slice of ways backing pa's set, plus the tag.
 func (c *Cache) set(pa physmem.Addr) (ways []line, set, tag uint32) {
@@ -137,7 +116,8 @@ type Victim struct {
 	Valid bool
 }
 
-// Access looks up pa; on a miss it allocates the line, evicting LRU.
+// Access looks up pa; on a miss it allocates the line, evicting a
+// pseudo-random way.
 // It returns hit, whether the eviction wrote back a dirty line (the
 // caller charges writeback cost to the next level), and the victim line
 // info so the next level can be charged at the victim's own address.
@@ -149,20 +129,14 @@ func (c *Cache) Access(pa physmem.Addr, write bool) (hit, writeback bool, victim
 	return false, writeback, victim
 }
 
-// fill handles the miss half of Access: allocate pa's line, evicting by
-// policy, and report the displaced victim. The caller must have probed and
-// missed (probeHit) with no intervening mutation.
+// fill handles the miss half of Access: allocate pa's line, evicting a
+// pseudo-random way, and report the displaced victim. The caller must have
+// probed and missed (probeHit) with no intervening mutation.
 func (c *Cache) fill(pa physmem.Addr, write bool) (writeback bool, victim Victim) {
 	ws, set, tag := c.set(pa)
-	// The lru stamps are consulted only under PolicyLRU; the pseudo-random
-	// default picks victims from the rng stream, so skipping the stamp
-	// maintenance there changes no simulated observable.
-	if c.policy == PolicyLRU {
-		c.stamp++
-	}
 	c.stats.Misses++
 	c.epoch++ // the fill below changes which lines are resident
-	// Choose a victim: invalid ways first, then by policy.
+	// Choose a victim: invalid ways first, then from the rng stream.
 	way := -1
 	for i := range ws {
 		if !ws[i].valid {
@@ -171,19 +145,10 @@ func (c *Cache) fill(pa physmem.Addr, write bool) (writeback bool, victim Victim
 		}
 	}
 	if way < 0 {
-		if c.policy == PolicyLRU {
-			way = 0
-			for i := range ws {
-				if ws[i].lru < ws[way].lru {
-					way = i
-				}
-			}
-		} else {
-			c.rng ^= c.rng << 13
-			c.rng ^= c.rng >> 17
-			c.rng ^= c.rng << 5
-			way = int(c.rng) & (c.ways - 1)
-		}
+		c.rng ^= c.rng << 13
+		c.rng ^= c.rng >> 17
+		c.rng ^= c.rng << 5
+		way = int(c.rng) & (c.ways - 1)
 		c.stats.Evictions++
 		v := &ws[way]
 		victim = Victim{
@@ -196,12 +161,12 @@ func (c *Cache) fill(pa physmem.Addr, write bool) (writeback bool, victim Victim
 			writeback = true
 		}
 	}
-	ws[way] = line{tag: tag, valid: true, dirty: write, lru: c.stamp}
+	ws[way] = line{tag: tag, valid: true, dirty: write}
 	return writeback, victim
 }
 
 // HitRun records n repeat accesses to pa's resident line in one step: the
-// resulting line state (lru stamp, dirty bit) and stats are bit-identical
+// resulting line state (dirty bit) and stats are bit-identical
 // to n consecutive Access calls that all hit. The batched memory path uses
 // it to collapse same-line streaming accesses into one probe. If the line
 // is unexpectedly absent it degrades to n real Access calls, preserving
@@ -213,10 +178,6 @@ func (c *Cache) HitRun(pa physmem.Addr, write bool, n int) {
 	ws, _, tag := c.set(pa)
 	for i := range ws {
 		if ws[i].valid && ws[i].tag == tag {
-			if c.policy == PolicyLRU {
-				c.stamp += uint64(n)
-				ws[i].lru = c.stamp
-			}
 			if write {
 				ws[i].dirty = true
 			}
@@ -229,7 +190,7 @@ func (c *Cache) HitRun(pa physmem.Addr, write bool, n int) {
 	}
 }
 
-// Contains reports whether pa's line is resident (no LRU side effect).
+// Contains reports whether pa's line is resident (no side effect).
 func (c *Cache) Contains(pa physmem.Addr) bool {
 	ws, _, tag := c.set(pa)
 	for i := range ws {
@@ -288,20 +249,11 @@ func (c *Cache) InvalidateLine(pa physmem.Addr) (wasDirty bool) {
 // resident exactly while Epoch() == E.
 func (c *Cache) Epoch() uint64 { return c.epoch }
 
-// ReplacementPolicy reports the cache's victim-selection policy.
-func (c *Cache) ReplacementPolicy() Policy { return c.policy }
-
 // BulkHits records n guaranteed-hit read probes of resident lines without
-// touching them. Under PolicyRandom a hitting read probe's only effect is
-// the hit counter (no lru, no dirty change), so this is bit-identical to n
-// scalar probes of lines the caller has proven resident (see Epoch). It
-// must not be used on PolicyLRU caches, whose hits reorder the stamps.
-func (c *Cache) BulkHits(n int) {
-	if c.policy == PolicyLRU {
-		panic("cache: BulkHits on an LRU cache would skip lru maintenance")
-	}
-	c.stats.Hits += uint64(n)
-}
+// touching them. A hitting read probe's only effect is the hit counter (no
+// dirty change), so this is bit-identical to n scalar probes of lines the
+// caller has proven resident (see Epoch).
+func (c *Cache) BulkHits(n int) { c.stats.Hits += uint64(n) }
 
 // ResidentLines counts valid lines (used by tests and the footprint report).
 func (c *Cache) ResidentLines() int {
@@ -362,8 +314,8 @@ func NewA9SharedL2(n int) []*Hierarchy {
 // NewA9WayPartitionedL2 returns n per-core hierarchies whose 512 KB L2 is
 // way-partitioned: core i owns 8/n ways of every set (the PL310's lockdown-
 // by-master configuration). Each partition keeps the full 2048 sets, so the
-// index function is unchanged and n may be 1, 2, 4 or 8. Because no line,
-// stamp or replacement-rng state is shared, a core's L2 traffic depends
+// index function is unchanged and n may be 1, 2, 4 or 8. Because no line or
+// replacement-rng state is shared, a core's L2 traffic depends
 // only on its own access stream — the property the epoch-barrier parallel
 // run loop needs to let cores advance on concurrent host goroutines while
 // staying bit-deterministic.
@@ -383,7 +335,7 @@ func NewA9WayPartitionedL2(n int) []*Hierarchy {
 }
 
 // probeHit is the lean L1-hit fast path: on a hit it performs exactly the
-// bookkeeping Access would (stats, dirty, lru under PolicyLRU) and returns
+// bookkeeping Access would (stats, dirty) and returns
 // true; on a miss it touches nothing, so the caller's follow-up Access
 // observes an unchanged set and does the single miss accounting itself.
 func (c *Cache) probeHit(pa physmem.Addr, write bool) bool {
@@ -393,10 +345,6 @@ func (c *Cache) probeHit(pa physmem.Addr, write bool) bool {
 	ws := c.lines[base : base+c.ways]
 	for i := range ws {
 		if ws[i].valid && ws[i].tag == tag {
-			if c.policy == PolicyLRU {
-				c.stamp++
-				ws[i].lru = c.stamp
-			}
 			if write {
 				ws[i].dirty = true
 			}

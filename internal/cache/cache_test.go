@@ -24,25 +24,6 @@ func TestMissThenHit(t *testing.T) {
 	}
 }
 
-func TestLRUEviction(t *testing.T) {
-	c := NewLRU("t", 4*LineSize, 4) // one set, 4 ways
-	setStride := physmem.Addr(LineSize)
-	// Fill 4 ways: lines 0..3.
-	for i := physmem.Addr(0); i < 4; i++ {
-		c.Access(0x10_0000+i*setStride*1, false) // all map to set 0? no: consecutive lines map to different sets
-	}
-	// With one set, every line maps to set 0 regardless; stride is irrelevant.
-	// Touch line 0 to make it MRU, then insert a 5th line: victim must be line 1.
-	c.Access(0x10_0000, false)
-	c.Access(0x20_0000, false) // new tag, evicts LRU
-	if !c.Contains(0x10_0000) {
-		t.Error("MRU line was evicted")
-	}
-	if c.Contains(0x10_0000 + setStride) {
-		t.Error("LRU line survived eviction")
-	}
-}
-
 func TestDirtyWriteback(t *testing.T) {
 	c := New("t", 2*LineSize, 2) // one set, 2 ways
 	c.Access(0x10_0000, true)    // dirty
@@ -73,14 +54,13 @@ func b2i(b bool) int {
 // The victim's reported address must reconstruct exactly the line that was
 // displaced, across many sets and tags.
 func TestVictimAddressReconstruction(t *testing.T) {
-	c := NewLRU("t", 4<<10, 2) // 64 sets, deterministic victims
+	c := New("t", 4<<10, 1) // direct-mapped, 128 sets: the victim is forced
 	base := physmem.Addr(0x10_0000)
-	conflict := physmem.Addr(2 << 10) // same set, different tag (64 sets * 32B)
+	conflict := physmem.Addr(4 << 10) // same set, different tag (128 sets * 32B)
 	for i := 0; i < 10; i++ {
 		pa := base + physmem.Addr(i)*LineSize
 		c.Access(pa, true)
-		c.Access(pa+conflict, false)
-		_, wb, victim := c.Access(pa+2*conflict, false) // evicts LRU = pa
+		_, wb, victim := c.Access(pa+conflict, false) // evicts the only way: pa
 		if !victim.Valid || victim.Addr != pa || !victim.Dirty || !wb {
 			t.Fatalf("victim = %+v wb=%v, want dirty line at %#x", victim, wb, pa)
 		}
@@ -102,13 +82,13 @@ func TestHitRunEquivalence(t *testing.T) {
 	b.HitRun(pa, false, 2)
 	b.Access(pa, true)
 	b.HitRun(pa, false, 1)
-	a.Access(pa, false) // trailing access on both to expose stamp skew
+	a.Access(pa, false) // trailing access on both to expose state skew
 	b.Access(pa, false)
 	if a.Stats() != b.Stats() {
 		t.Errorf("stats diverged: %+v vs %+v", a.Stats(), b.Stats())
 	}
-	if a.stamp != b.stamp {
-		t.Errorf("stamp diverged: %d vs %d", a.stamp, b.stamp)
+	if a.rng != b.rng {
+		t.Errorf("rng diverged: %#x vs %#x", a.rng, b.rng)
 	}
 	al, _, atag := a.set(pa)
 	bl, _, btag := b.set(pa)
@@ -180,7 +160,7 @@ func TestStatsConsistency(t *testing.T) {
 
 func TestHierarchyCosts(t *testing.T) {
 	h := NewA9Hierarchy()
-	h.L1D = NewLRU("L1D", 32<<10, 4) // deterministic eviction for this test
+	h.L1D = New("L1D", 32<<10, 1) // direct-mapped: the victim is forced
 	pa := physmem.Addr(0x10_0000)
 	// Cold: L1 miss + L2 miss.
 	if got := h.DataCost(pa, false); got != PenaltyL2Hit+PenaltyDDR {
@@ -190,12 +170,10 @@ func TestHierarchyCosts(t *testing.T) {
 	if got := h.DataCost(pa, false); got != 0 {
 		t.Errorf("L1 hit cost = %d, want 0", got)
 	}
-	// Evict from L1 only: touch enough lines in the same L1 set.
-	// L1D 32KB 4-way => 256 sets; same-set stride = 256*32 = 8KB.
-	for i := 1; i <= 4; i++ {
-		h.DataCost(pa+physmem.Addr(i*8<<10), false)
-	}
-	// pa now out of L1 (LRU victim) but still in L2.
+	// Evict from L1 only: touch one line in the same L1 set. L1D 32KB
+	// direct-mapped => same-set stride 32KB, which falls in another L2 set.
+	h.DataCost(pa+32<<10, false)
+	// pa now out of L1 but still in L2.
 	if got := h.DataCost(pa, false); got != PenaltyL2Hit {
 		t.Errorf("L2 hit cost = %d, want %d", got, PenaltyL2Hit)
 	}
@@ -207,18 +185,17 @@ func TestHierarchyCosts(t *testing.T) {
 func TestDirtyVictimDrainsAtOwnAddress(t *testing.T) {
 	h := &Hierarchy{
 		L1I: New("i", 2*LineSize, 2),
-		L1D: NewLRU("d", 2*LineSize, 2), // one set: deterministic victims
+		L1D: New("d", LineSize, 1), // one line: the victim is forced
 		L2:  New("l2", 8<<10, 4),
 	}
-	pa1, pa2, pa3 := physmem.Addr(0x10_0000), physmem.Addr(0x11_0000), physmem.Addr(0x12_0000)
+	pa1, pa2 := physmem.Addr(0x10_0000), physmem.Addr(0x11_0000)
 	h.DataCost(pa1, false) // L1+L2 fill, both clean
 	h.DataCost(pa1, true)  // L1 hit: dirty in L1 only
-	h.DataCost(pa2, false)
-	h.DataCost(pa3, false) // evicts pa1 (LRU): the dirty victim drains
+	h.DataCost(pa2, false) // evicts pa1: the dirty victim drains
 	if dirty := h.L2.InvalidateLine(pa1); !dirty {
 		t.Error("dirty L1 victim did not drain into L2 at its own address")
 	}
-	if dirty := h.L2.InvalidateLine(pa3); dirty {
+	if dirty := h.L2.InvalidateLine(pa2); dirty {
 		t.Error("incoming read line marked dirty in L2 (drain charged at the wrong address)")
 	}
 }

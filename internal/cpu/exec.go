@@ -226,7 +226,7 @@ func (e *ExecContext) Exec(n int) {
 		var pa physmem.Addr
 		if pageValid && va>>12 == pageVPN {
 			if e.iClean >= e.CodeSize && e.CodeSize%(instrPerLine*4) == 0 &&
-				l1i.Epoch() == e.iEpoch && l1i.ReplacementPolicy() == cache.PolicyRandom {
+				l1i.Epoch() == e.iEpoch {
 				// The whole code range is proven resident (a full cyclic
 				// sweep of zero-miss fetches at an unmoved residency
 				// epoch), so every probe up to the next page or wrap
@@ -486,8 +486,3 @@ func (e *ExecContext) VFPOp(n int) bool {
 	e.Exec(n)
 	return true
 }
-
-// ResetCursor restarts the fetch cursor (e.g. when a task restarts). The
-// residency streak restarts with it: its coverage claim is tied to an
-// unbroken cyclic walk.
-func (e *ExecContext) ResetCursor() { e.cursor = 0; e.iClean = 0 }

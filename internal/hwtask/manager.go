@@ -23,6 +23,7 @@ import (
 	"repro/internal/abi"
 	"repro/internal/bitstream"
 	"repro/internal/cpu"
+	"repro/internal/nova"
 	"repro/internal/simclock"
 )
 
@@ -56,25 +57,6 @@ type PRRState struct {
 	Executions uint64 // completed dispatches through this region
 }
 
-// RequestKind mirrors nova's acquire/release split without importing it.
-type RequestKind int
-
-// Request kinds.
-const (
-	ReqAcquire RequestKind = iota
-	ReqRelease
-)
-
-// Request is the manager's view of one client request.
-type Request struct {
-	Kind     RequestKind
-	ReqID    uint32
-	ClientID int
-	TaskID   uint16
-	IfaceVA  uint32
-	DataVA   uint32
-}
-
 // Reply status codes — the shared ABI's hypercall statuses, aliased so
 // the decision core keeps its historical spelling without duplicating
 // the values.
@@ -105,18 +87,18 @@ type Actions interface {
 	Reclaim(clientID, prr int)
 	// MapIface makes prr's register group reachable by the client at its
 	// requested VA — stage (3). No-op natively (unified space).
-	MapIface(req Request, prr int) bool
+	MapIface(req nova.MgrRequestView, prr int) bool
 	// LoadWindow points the hwMMU at the client's data section — stage (4).
-	LoadWindow(req Request, prr int) bool
+	LoadWindow(req nova.MgrRequestView, prr int) bool
 	// StartReconfig launches the PCAP download — stage (5). Under
 	// Mini-NOVA this submits to the kernel's reconfiguration pipeline
 	// (cache + request queue) and only fails on invalid arguments; the
 	// native baseline programs the device directly and still fails when
 	// the PCAP is busy.
-	StartReconfig(req Request, t *TaskInfo, prr int) bool
+	StartReconfig(req nova.MgrRequestView, t *TaskInfo, prr int) bool
 	// AllocIRQ wires a PL interrupt line for the region to the client and
 	// returns the GIC interrupt ID (ok=false when lines are exhausted).
-	AllocIRQ(req Request, prr int) (irq int, ok bool)
+	AllocIRQ(req nova.MgrRequestView, prr int) (irq int, ok bool)
 }
 
 // Reply packing lives in the shared ABI (abi.MakeReply and friends);
@@ -201,12 +183,12 @@ func (m *Manager) touchPRR(ctx *cpu.ExecContext, prr int, write bool) {
 
 // Handle runs the Fig. 7 routine for one request and returns the reply
 // status. All privileged effects go through act.
-func (m *Manager) Handle(ctx *cpu.ExecContext, req Request, act Actions) uint32 {
+func (m *Manager) Handle(ctx *cpu.ExecContext, req nova.MgrRequestView, act Actions) uint32 {
 	m.Stats.Requests++
 	// Stage 1-2 prologue: validate the request, look up the task table.
 	m.exec(ctx, 900)
 
-	if req.Kind == ReqRelease {
+	if req.Kind == nova.HwReqRelease {
 		return m.handleRelease(ctx, req, act)
 	}
 
@@ -323,7 +305,7 @@ func (m *Manager) Handle(ctx *cpu.ExecContext, req Request, act Actions) uint32 
 	return MakeReply(status, chosen, irq)
 }
 
-func (m *Manager) handleRelease(ctx *cpu.ExecContext, req Request, act Actions) uint32 {
+func (m *Manager) handleRelease(ctx *cpu.ExecContext, req nova.MgrRequestView, act Actions) uint32 {
 	m.Stats.Releases++
 	for r := range m.PRRs {
 		if m.PRRs[r].Client == req.ClientID && (req.TaskID == 0 || m.PRRs[r].TaskID == int(req.TaskID)) {

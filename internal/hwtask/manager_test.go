@@ -6,6 +6,7 @@ import (
 	"repro/internal/bitstream"
 	"repro/internal/cpu"
 	"repro/internal/gic"
+	"repro/internal/nova"
 	"repro/internal/physmem"
 	"repro/internal/simclock"
 )
@@ -26,25 +27,25 @@ type fakeActions struct {
 func (f *fakeActions) PRRBusy(prr int) bool        { return f.busy[prr] }
 func (f *fakeActions) PRRQuarantined(prr int) bool { return f.quar[prr] }
 func (f *fakeActions) Reclaim(c, p int)            { f.reclaims = append(f.reclaims, [2]int{c, p}) }
-func (f *fakeActions) MapIface(r Request, p int) bool {
+func (f *fakeActions) MapIface(r nova.MgrRequestView, p int) bool {
 	if f.mapFail {
 		return false
 	}
 	f.mapped = append(f.mapped, p)
 	return true
 }
-func (f *fakeActions) LoadWindow(r Request, p int) bool {
+func (f *fakeActions) LoadWindow(r nova.MgrRequestView, p int) bool {
 	f.windows = append(f.windows, p)
 	return true
 }
-func (f *fakeActions) StartReconfig(r Request, t *TaskInfo, p int) bool {
+func (f *fakeActions) StartReconfig(r nova.MgrRequestView, t *TaskInfo, p int) bool {
 	if f.pcapBusy {
 		return false
 	}
 	f.reconfigs = append(f.reconfigs, p)
 	return true
 }
-func (f *fakeActions) AllocIRQ(r Request, p int) (int, bool) {
+func (f *fakeActions) AllocIRQ(r nova.MgrRequestView, p int) (int, bool) {
 	f.irqs = append(f.irqs, p)
 	return 61 + p, true
 }
@@ -74,8 +75,8 @@ func mgr(t *testing.T) *Manager {
 	return m
 }
 
-func req(client int, task uint16) Request {
-	return Request{Kind: ReqAcquire, ReqID: 1, ClientID: client, TaskID: task,
+func req(client int, task uint16) nova.MgrRequestView {
+	return nova.MgrRequestView{Kind: nova.HwReqAcquire, ID: 1, ClientID: client, TaskID: task,
 		IfaceVA: 0x0900_0000, DataVA: 0x0800_0000}
 }
 
@@ -201,7 +202,7 @@ func TestRelease(t *testing.T) {
 	act := &fakeActions{busy: map[int]bool{}}
 	m.Handle(testCtx(), req(1, TaskQAM4), act)
 	m.NotifyLoaded(0)
-	status := m.Handle(testCtx(), Request{Kind: ReqRelease, ClientID: 1, TaskID: TaskQAM4}, act)
+	status := m.Handle(testCtx(), nova.MgrRequestView{Kind: nova.HwReqRelease, ClientID: 1, TaskID: TaskQAM4}, act)
 	if status != ReplyOK {
 		t.Fatalf("release status = %d", status)
 	}

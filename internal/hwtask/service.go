@@ -40,18 +40,6 @@ func (s *Service) RunSlice(env *nova.Env) {
 			reqID = env.Hypercall(abi.HcMgrComplete, reqID, abi.StatusInval)
 			continue
 		}
-		kind := ReqAcquire
-		if view.Kind == nova.HwReqRelease {
-			kind = ReqRelease
-		}
-		req := Request{
-			Kind:     kind,
-			ReqID:    view.ID,
-			ClientID: view.ClientID,
-			TaskID:   view.TaskID,
-			IfaceVA:  view.IfaceVA,
-			DataVA:   view.DataVA,
-		}
 		// Opportunistically clear Loading flags for finished transfers:
 		// a region is done loading once the reconfiguration pipeline has
 		// nothing for it anywhere (fill, queue, or active download).
@@ -66,7 +54,7 @@ func (s *Service) RunSlice(env *nova.Env) {
 				s.M.PRRs[r].Loading = false
 			}
 		}
-		status := s.M.Handle(env.Ctx, req, &portalActions{env: env, req: req})
+		status := s.M.Handle(env.Ctx, view, &portalActions{env: env})
 		reqID = env.Hypercall(abi.HcMgrComplete, reqID, status)
 	}
 }
@@ -74,7 +62,6 @@ func (s *Service) RunSlice(env *nova.Env) {
 // portalActions implements Actions through the HcMgr* capability portals.
 type portalActions struct {
 	env *nova.Env
-	req Request
 }
 
 func (a *portalActions) PRRBusy(prr int) bool {
@@ -94,11 +81,11 @@ func (a *portalActions) Reclaim(clientID, prr int) {
 	a.env.Hypercall(abi.HcMgrUnmapIface, uint32(clientID), uint32(prr))
 }
 
-func (a *portalActions) MapIface(req Request, prr int) bool {
-	return a.env.Hypercall(abi.HcMgrMapIface, req.ReqID, uint32(prr)) == abi.StatusOK
+func (a *portalActions) MapIface(req nova.MgrRequestView, prr int) bool {
+	return a.env.Hypercall(abi.HcMgrMapIface, req.ID, uint32(prr)) == abi.StatusOK
 }
 
-func (a *portalActions) LoadWindow(req Request, prr int) bool {
+func (a *portalActions) LoadWindow(req nova.MgrRequestView, prr int) bool {
 	return a.env.Hypercall(abi.HcMgrHwMMULoad, uint32(req.ClientID), uint32(prr)) == abi.StatusOK
 }
 
@@ -106,12 +93,12 @@ func (a *portalActions) LoadWindow(req Request, prr int) bool {
 // which hands the download to the kernel's reconfiguration pipeline:
 // cached bitstreams skip the SD staging read, and a busy PCAP queues the
 // request (by client priority) instead of failing it back here.
-func (a *portalActions) StartReconfig(req Request, t *TaskInfo, prr int) bool {
-	return a.env.Hypercall(abi.HcMgrPCAPStart, req.ReqID, t.BitstreamOff, t.BitstreamLen, uint32(prr)) == abi.StatusOK
+func (a *portalActions) StartReconfig(req nova.MgrRequestView, t *TaskInfo, prr int) bool {
+	return a.env.Hypercall(abi.HcMgrPCAPStart, req.ID, t.BitstreamOff, t.BitstreamLen, uint32(prr)) == abi.StatusOK
 }
 
-func (a *portalActions) AllocIRQ(req Request, prr int) (int, bool) {
-	ret := a.env.Hypercall(abi.HcMgrAllocIRQ, req.ReqID, uint32(prr))
+func (a *portalActions) AllocIRQ(req nova.MgrRequestView, prr int) (int, bool) {
+	ret := a.env.Hypercall(abi.HcMgrAllocIRQ, req.ID, uint32(prr))
 	if ret < 32 || ret == abi.StatusErr {
 		return 0, false
 	}
@@ -143,13 +130,13 @@ func (a *NativeActions) PRRQuarantined(prr int) bool { return false }
 func (a *NativeActions) Reclaim(clientID, prr int) {}
 
 // MapIface implements Actions: the register group is already visible.
-func (a *NativeActions) MapIface(req Request, prr int) bool { return true }
+func (a *NativeActions) MapIface(req nova.MgrRequestView, prr int) bool { return true }
 
 // LoadWindow implements Actions: still required — the hwMMU polices DMA
 // regardless of virtualization. The consistency flag at the head of the
 // data section is reset for the new owner, as the kernel does under
 // virtualization.
-func (a *NativeActions) LoadWindow(req Request, prr int) bool {
+func (a *NativeActions) LoadWindow(req nova.MgrRequestView, prr int) bool {
 	w, ok := a.Sections[req.ClientID]
 	if !ok {
 		return false
@@ -160,7 +147,7 @@ func (a *NativeActions) LoadWindow(req Request, prr int) bool {
 }
 
 // StartReconfig implements Actions by programming the PCAP directly.
-func (a *NativeActions) StartReconfig(req Request, t *TaskInfo, prr int) bool {
+func (a *NativeActions) StartReconfig(req nova.MgrRequestView, t *TaskInfo, prr int) bool {
 	if a.Fabric.PCAP.Busy() {
 		return false
 	}
@@ -175,7 +162,7 @@ func (a *NativeActions) StartReconfig(req Request, t *TaskInfo, prr int) bool {
 
 // AllocIRQ implements Actions: allocate the line and enable it at the GIC
 // (the native RTOS receives it directly).
-func (a *NativeActions) AllocIRQ(req Request, prr int) (int, bool) {
+func (a *NativeActions) AllocIRQ(req nova.MgrRequestView, prr int) (int, bool) {
 	if line := a.Fabric.PRRs[prr].IRQLine; line >= 0 {
 		return gic.PLIRQBase + line, true
 	}

@@ -46,7 +46,7 @@ func (k *Kernel) post(c *CoreCtx, fn func()) {
 // engine bounds cross-core latency by one epoch instead of making it
 // instantaneous.
 func (k *Kernel) wakeFrom(c *CoreCtx, pd *PD) {
-	if c == nil || c == pd.Core || len(k.Cores) == 1 || k.inCommit {
+	if c == nil || c == pd.Core || k.inCommit {
 		k.wake(pd)
 		return
 	}

@@ -170,6 +170,12 @@ func (k *Kernel) hcRegionCreate(pd *PD, va, size uint32) uint32 {
 	if err != nil {
 		return StatusInval
 	}
+	// The window must lie inside the caller's own RAM: the table also
+	// holds the kernel's global mappings, which must never become a DMA
+	// target.
+	if pa < pd.RAMBase || uint32(pa-pd.RAMBase) > pd.RAMSize-size {
+		return StatusInval
+	}
 	// The section must be fully mapped and physically contiguous (it is a
 	// DMA window the hwMMU describes with one base+size pair): verify every
 	// page translates linearly.
@@ -211,7 +217,7 @@ func (k *Kernel) hcHwTaskRequest(c *CoreCtx, pd *PD, kind HwRequestKind, args [4
 		}
 	}
 	t0 := c.Clock.Now()
-	if len(k.Cores) == 1 || pd.Core == k.hwSvc.Core {
+	if pd.Core == k.hwSvc.Core {
 		// Same-core request: the queue lives on the manager's core, so the
 		// caller may mutate it directly.
 		k.nextReqID++
@@ -301,7 +307,7 @@ func (k *Kernel) hcHwTaskStatus(c *CoreCtx, pd *PD, _ uint32) uint32 {
 	if k.Reconfig == nil {
 		return StatusOK
 	}
-	if len(k.Cores) == 1 || pd.Core == k.reconfigCore() {
+	if pd.Core == k.reconfigCore() {
 		if k.Reconfig.PendingFor(pd) {
 			return StatusReconfig
 		}
@@ -350,7 +356,7 @@ func (k *Kernel) hcPortalCall(c *CoreCtx, pd *PD, sel int, word uint32) uint32 {
 	}
 	t0 := c.Clock.Now()
 	pd.ipcWord = word
-	if len(k.Cores) == 1 || to.Core == pd.Core {
+	if to.Core == pd.Core {
 		to.ipcCallers = append(to.ipcCallers, pd)
 		c.kctx.Touch(to.kdata+0x80, true) // callee endpoint state
 		if to.recvBlocked {
@@ -445,7 +451,7 @@ func (k *Kernel) failPortalCallers(pd *PD) {
 // hcSD copies one 512-byte block between the simulated SD card and the
 // caller's RAM (supervised shared I/O, §V-A).
 func (k *Kernel) hcSD(c *CoreCtx, pd *PD, block, ramOffset uint32, write bool) uint32 {
-	if ramOffset+512 > pd.RAMSize {
+	if ramOffset > pd.RAMSize || pd.RAMSize-ramOffset < 512 {
 		return StatusInval
 	}
 	pa := pd.RAMBase + physmem.Addr(ramOffset)
@@ -530,28 +536,20 @@ func (k *Kernel) mgrComplete(c *CoreCtx, pd *PD, reqID, status uint32) uint32 {
 		k.Probes.Add(measure.PhaseMgrExec, c.Clock.Now()-k.mgrExecFrom)
 		k.mgrExecArmed = false
 	}
-	target := req.PD
-	switch {
-	case len(k.Cores) == 1:
+	if target := req.PD; target.Core == c {
 		k.wake(target)
-		// Arm the "HW Manager exit" probe: from here to the world switch
-		// that resumes a guest.
-		k.mgrExitFrom = k.Clock.Now()
-		k.mgrExitArmed = true
-	case target.Core == c:
-		k.wake(target)
-		k.mgrExitFrom = c.Clock.Now()
-		k.mgrExitArmed = true
-	default:
+	} else {
 		// Cross-core completion: the reply is published by the barrier
-		// that wakes the requester. The exit probe stays on the manager's
-		// core — it measures the manager leaving the CPU (self-suspend or
-		// switch to a guest), not the client's scheduling latency.
+		// that wakes the requester.
 		c.Clock.Advance(CostDeviceAccess)
 		k.post(c, func() { k.wake(target) })
-		k.mgrExitFrom = c.Clock.Now()
-		k.mgrExitArmed = true
 	}
+	// Arm the "HW Manager exit" probe: from here to the world switch that
+	// resumes a guest. It stays on the manager's core — it measures the
+	// manager leaving the CPU (self-suspend or switch to a guest), not the
+	// client's scheduling latency.
+	k.mgrExitFrom = c.Clock.Now()
+	k.mgrExitArmed = true
 	return k.mgrNextRequest(c, pd)
 }
 
@@ -596,7 +594,7 @@ func (k *Kernel) mgrMapIface(c *CoreCtx, reqID uint32, prr int) uint32 {
 	// its table is quiescent and may be edited from the manager's core.
 	client.Table.MapPage(va, k.Fabric.GroupBase(prr), DomainGuestUser, mmu.APFull)
 	k.chargePTEdit(c, client, va)
-	if len(k.Cores) == 1 || client.Core == c {
+	if client.Core == c {
 		client.Core.CPU.TLB.FlushVA(va, client.ASID)
 		client.Core.CPU.CP15Write(cpu.CP15TLBIMVA, va)
 	} else {
@@ -798,7 +796,7 @@ func (k *Kernel) mgrPCAPStart(c *CoreCtx, reqID, srcOff, length uint32, prr int,
 						r.Flow, uint64(pd.ID), pd.breaker.Trips)
 				}
 			}
-			if len(k.Cores) == 1 || pd.Core == mc {
+			if pd.Core == mc {
 				fail()
 			} else {
 				k.post(mc, fail)

@@ -75,11 +75,6 @@ type Kernel struct {
 
 	PDs []*PD
 
-	// SMPSlice is retained for API compatibility with the old interleaved
-	// multi-core loop; the epoch engine ignores it (the epoch length in
-	// Epoch plays the window-bounding role now).
-	SMPSlice simclock.Cycles
-
 	// Epoch is the barrier interval of the parallel run loop (see
 	// DefaultEpoch); Epochs counts barrier windows executed, for the
 	// idle fast-forward diagnostics (not part of any scenario digest).
@@ -193,7 +188,6 @@ func NewKernelSMP(ncores int) *Kernel {
 		Alloc:     mmu.NewFrameAllocator(physTables, 8<<20),
 		Sched:     sched.NewPrioRR(ncores, simclock.FromMillis(DefaultQuantumMs)),
 		Probes:    measure.NewSet(),
-		SMPSlice:  simclock.FromMillis(1),
 		Epoch:     DefaultEpoch,
 		committer: simclock.NewCommitter(ncores),
 		hwByID:    make(map[uint32]*HwRequest),
@@ -542,7 +536,7 @@ func (k *Kernel) reconfigPurge(pd *PD) {
 		}
 		k.pcapDone = kept
 	}
-	if len(k.Cores) == 1 || pd.Core == k.reconfigCore() {
+	if pd.Core == k.reconfigCore() {
 		purge()
 	} else {
 		k.post(pd.Core, purge)
@@ -844,7 +838,7 @@ func (k *Kernel) onIRQ(c *CoreCtx) {
 		// (the owning core's goroutine must not be written mid-epoch).
 		for _, own := range k.pcapDone {
 			own := own
-			if len(k.Cores) == 1 || own.pd.Core == c {
+			if own.pd.Core == c {
 				if own.pd.dead {
 					continue // owner exited between completion and delivery
 				}
@@ -913,7 +907,7 @@ func (k *Kernel) maybePreemptFor(pd *PD) {
 	if cur != nil && cur != pd && k.Sched.Queued(&cur.node) && pd.Priority <= cur.Priority {
 		return
 	}
-	if k.inCommit && len(k.Cores) > 1 {
+	if k.inCommit {
 		k.GIC.RaiseSGI(target.ID, SGIReschedule)
 		return
 	}

@@ -367,6 +367,55 @@ func TestSDSupervisedIO(t *testing.T) {
 	}
 }
 
+// An SD transfer's RAM offset must be checked without uint32 wrap: an
+// offset near 2^32 would otherwise pass the bound and land the block
+// below the caller's RAM.
+func TestSDRejectsWrappingOffset(t *testing.T) {
+	k := NewKernel()
+	defer k.Shutdown()
+	img := make([]byte, 512)
+	copy(img, "bootdata")
+	k.SDWriteImage(7, img)
+	status := uint32(StatusOK)
+	pd := k.CreatePD(PDConfig{Name: "g", Priority: PrioGuest, Guest: &scriptGuest{"g", func(env *Env) {
+		status = env.Hypercall(HcSDRead, 7, 0xFFFF_FF00)
+	}}})
+	k.RunFor(simclock.FromMillis(1))
+	if status != StatusInval {
+		t.Fatalf("HcSDRead at a wrapping RAM offset = %d, want StatusInval", status)
+	}
+	below, err := k.Bus.ReadBytes(pd.RAMBase-0x100, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(below) == "bootdata" {
+		t.Error("SD block written below the caller's RAM")
+	}
+}
+
+// A guest may register only its own RAM as a DMA data section, not a
+// kernel mapping that its table also resolves.
+func TestRegionCreateRejectsKernelMemory(t *testing.T) {
+	k := NewKernel()
+	defer k.Shutdown()
+	kernelStatus, ramStatus := uint32(StatusOK), uint32(StatusErr)
+	pd := k.CreatePD(PDConfig{Name: "g", Priority: PrioGuest, Guest: &scriptGuest{"g", func(env *Env) {
+		kernelStatus = env.Hypercall(HcRegionCreate, KernelDataVA, 0x1000)
+		env.Hypercall(HcMapPage, GuestDataSect, 0x20_0000)
+		ramStatus = env.Hypercall(HcRegionCreate, GuestDataSect, 0x1000)
+	}}})
+	k.RunFor(simclock.FromMillis(1))
+	if kernelStatus != StatusInval {
+		t.Errorf("HcRegionCreate over kernel data = %d, want StatusInval", kernelStatus)
+	}
+	if ramStatus != StatusOK {
+		t.Fatalf("HcRegionCreate over guest RAM = %d, want StatusOK", ramStatus)
+	}
+	if want := pd.RAMBase + 0x20_0000; pd.DataSectionPA != want {
+		t.Errorf("data section PA = %#x, want %#x", pd.DataSectionPA, want)
+	}
+}
+
 func TestShutdownTerminatesGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	k := NewKernel()

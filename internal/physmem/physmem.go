@@ -142,9 +142,6 @@ func isRAM(a Addr) bool {
 	return false
 }
 
-// IsRAM reports whether the address is backed by RAM (vs device or hole).
-func (b *Bus) IsRAM(a Addr) bool { return isRAM(a) }
-
 // frame returns the backing frame for a RAM address, allocating on demand.
 func (b *Bus) frame(a Addr) *frameBuf {
 	var slot *(*frameBuf)

@@ -1,24 +1,17 @@
-// Package pool implements deterministic warm pools of forked VM clones
-// keyed by checkpoint image. A pool keeps up to Target pre-built clones
-// per key on a shelf; Acquire pops the most recently built one (LIFO —
-// the warmest caches) or builds on miss, and a sim-clock TTL with a
-// seeded jitter reaps shelf items that sit unused. The image behind a
-// key is built exactly once, however many prewarm and acquire calls
-// race to need it (singleflight, resolved deterministically because the
-// simulation engine serializes pool calls at stopped points).
+// Package pool implements a deterministic warm pool of forked VM clones.
+// A pool keeps up to Target pre-built clones on one shelf; Acquire pops
+// the most recently built one (LIFO — the warmest caches) or builds on
+// miss, and a sim-clock TTL with a seeded jitter reaps shelf items that
+// sit unused.
 //
-// The package is generic: values are opaque `any`, the owner supplies
-// build/destroy callbacks, and every timestamp is an explicit simulated
-// cycle count passed in by the caller — the pool never reads a clock,
-// so it cannot desynchronize sequential and sharded engines.
+// The owner supplies build/destroy callbacks, and every timestamp is an
+// explicit simulated cycle count passed in by the caller — the pool never
+// reads a clock, so it cannot desynchronize sequential and sharded
+// engines. Calls must happen at points where the simulation engine is
+// stopped (they build and destroy VMs).
 package pool
 
-import (
-	"fmt"
-	"sync"
-
-	"repro/internal/simclock"
-)
+import "repro/internal/simclock"
 
 // Config shapes a pool's policy.
 type Config struct {
@@ -33,16 +26,6 @@ type Config struct {
 	Seed uint64
 }
 
-// Funcs are the owner's callbacks. Image is invoked once per key (the
-// singleflight build of the checkpoint image); Build forks one clone
-// from it (seq is the per-key build ordinal, usable as a deterministic
-// identity); Destroy tears a reaped or drained clone down.
-type Funcs struct {
-	Image   func(key string) (any, error)
-	Build   func(key string, img any, seq int) (any, error)
-	Destroy func(v any)
-}
-
 // Stats counts pool activity.
 type Stats struct {
 	Built     uint64 // clones constructed (misses + prewarms)
@@ -50,51 +33,38 @@ type Stats struct {
 	Misses    uint64 // acquires that had to build
 	Reaped    uint64 // shelf items destroyed by TTL
 	Prewarmed uint64 // clones built by Prewarm
-	ImageOnce uint64 // image builds (1 per key that was ever needed)
 }
 
 // item is one shelf entry.
-type item struct {
-	v        any
+type item[T any] struct {
+	v        T
 	deadline simclock.Cycles // reap time; 0 = no TTL
-	seq      int
 }
 
-// keyState is the per-image-key shelf.
-type keyState struct {
-	img      any
-	imgBuilt bool
-	shelf    []item // LIFO: acquire pops the back
-	seq      int    // next build ordinal
+// Pool is a warm-clone pool over values of type T.
+type Pool[T any] struct {
+	cfg     Config
+	build   func(seq int) T
+	destroy func(T)
+	shelf   []item[T] // LIFO: acquire pops the back
+	seq     int       // next build ordinal
+	rng     uint64
+	stats   Stats
 }
 
-// Pool is a warm-clone pool. Methods are mutex-guarded so parallel
-// scenario harnesses may share one, but calls must happen at points
-// where the simulation engine is stopped (they build and destroy VMs).
-type Pool struct {
-	mu    sync.Mutex
-	cfg   Config
-	fn    Funcs
-	keys  map[string]*keyState
-	order []string // key creation order: deterministic reap scans
-	rng   uint64
-	stats Stats
-}
-
-// New builds an empty pool.
-func New(cfg Config, fn Funcs) *Pool {
-	if fn.Image == nil || fn.Build == nil || fn.Destroy == nil {
-		panic("pool: all three callbacks are required")
-	}
+// New builds an empty pool. build forks one clone (seq is the build
+// ordinal, usable as a deterministic identity); destroy tears a reaped or
+// drained clone down.
+func New[T any](cfg Config, build func(seq int) T, destroy func(T)) *Pool[T] {
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 0x9E3779B97F4A7C15
 	}
-	return &Pool{cfg: cfg, fn: fn, keys: map[string]*keyState{}, rng: seed}
+	return &Pool[T]{cfg: cfg, build: build, destroy: destroy, rng: seed}
 }
 
 // xorshift advances the jitter generator (deterministic, seed-derived).
-func (p *Pool) xorshift() uint64 {
+func (p *Pool[T]) xorshift() uint64 {
 	x := p.rng
 	x ^= x << 13
 	x ^= x >> 7
@@ -106,10 +76,7 @@ func (p *Pool) xorshift() uint64 {
 // jitter returns the deadline perturbation for one shelf item: up to an
 // eighth of the TTL, so a batch prewarmed in one instant expires spread
 // out instead of as a reap storm.
-func (p *Pool) jitter() simclock.Cycles {
-	if p.cfg.TTL == 0 {
-		return 0
-	}
+func (p *Pool[T]) jitter() simclock.Cycles {
 	span := uint64(p.cfg.TTL / 8)
 	if span == 0 {
 		return 0
@@ -117,148 +84,69 @@ func (p *Pool) jitter() simclock.Cycles {
 	return simclock.Cycles(p.xorshift() % span)
 }
 
-// state returns (building if needed) the per-key shelf and its image.
-func (p *Pool) state(key string) (*keyState, error) {
-	ks := p.keys[key]
-	if ks == nil {
-		ks = &keyState{}
-		p.keys[key] = ks
-		p.order = append(p.order, key)
-	}
-	if !ks.imgBuilt {
-		img, err := p.fn.Image(key)
-		if err != nil {
-			return nil, fmt.Errorf("pool: image %q: %w", key, err)
-		}
-		ks.img = img
-		ks.imgBuilt = true
-		p.stats.ImageOnce++
-	}
-	return ks, nil
-}
-
-// build forks one clone for key (caller holds the lock).
-func (p *Pool) build(key string, ks *keyState) (item, error) {
-	v, err := p.fn.Build(key, ks.img, ks.seq)
-	if err != nil {
-		return item{}, fmt.Errorf("pool: build %q #%d: %w", key, ks.seq, err)
-	}
-	it := item{v: v, seq: ks.seq}
-	ks.seq++
+// newItem forks one clone.
+func (p *Pool[T]) newItem() item[T] {
+	it := item[T]{v: p.build(p.seq)}
+	p.seq++
 	p.stats.Built++
-	return it, nil
+	return it
 }
 
-// Prewarm tops key's shelf up to the configured target, stamping each
-// new item's reap deadline from now.
-func (p *Pool) Prewarm(key string, now simclock.Cycles) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ks, err := p.state(key)
-	if err != nil {
-		return err
-	}
-	for len(ks.shelf) < p.cfg.Target {
-		it, err := p.build(key, ks)
-		if err != nil {
-			return err
-		}
+// Prewarm tops the shelf up to the configured target, stamping each new
+// item's reap deadline from now.
+func (p *Pool[T]) Prewarm(now simclock.Cycles) {
+	for len(p.shelf) < p.cfg.Target {
+		it := p.newItem()
 		if p.cfg.TTL > 0 {
 			it.deadline = now + p.cfg.TTL + p.jitter()
 		}
-		ks.shelf = append(ks.shelf, it)
+		p.shelf = append(p.shelf, it)
 		p.stats.Prewarmed++
 	}
-	return nil
 }
 
-// Acquire leases a clone for key: the most recently shelved one (warm
-// hit), or a fresh build on miss. The lease is permanent — the pool
-// forgets the value; callers own leased clones.
-func (p *Pool) Acquire(key string, now simclock.Cycles) (v any, hit bool, err error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ks, err := p.state(key)
-	if err != nil {
-		return nil, false, err
-	}
-	if n := len(ks.shelf); n > 0 {
-		it := ks.shelf[n-1]
-		ks.shelf[n-1] = item{}
-		ks.shelf = ks.shelf[:n-1]
+// Acquire leases a clone: the most recently shelved one (warm hit), or a
+// fresh build on miss. The lease is permanent — the pool forgets the
+// value; callers own leased clones.
+func (p *Pool[T]) Acquire() (v T, hit bool) {
+	if n := len(p.shelf); n > 0 {
+		it := p.shelf[n-1]
+		p.shelf[n-1] = item[T]{}
+		p.shelf = p.shelf[:n-1]
 		p.stats.Hits++
-		return it.v, true, nil
-	}
-	it, err := p.build(key, ks)
-	if err != nil {
-		return nil, false, err
+		return it.v, true
 	}
 	p.stats.Misses++
-	return it.v, false, nil
+	return p.newItem().v, false
 }
 
 // ReapExpired destroys every shelf item whose deadline has passed and
-// returns how many died. Keys are scanned in creation order and shelves
-// front-to-back (oldest first), so the destruction sequence is
-// deterministic.
-func (p *Pool) ReapExpired(now simclock.Cycles) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+// returns how many died. The shelf is scanned front-to-back (oldest
+// first), so the destruction sequence is deterministic.
+func (p *Pool[T]) ReapExpired(now simclock.Cycles) int {
 	reaped := 0
-	for _, key := range p.order {
-		ks := p.keys[key]
-		kept := ks.shelf[:0]
-		for _, it := range ks.shelf {
-			if it.deadline != 0 && it.deadline <= now {
-				p.fn.Destroy(it.v)
-				p.stats.Reaped++
-				reaped++
-			} else {
-				kept = append(kept, it)
-			}
+	kept := p.shelf[:0]
+	for _, it := range p.shelf {
+		if it.deadline != 0 && it.deadline <= now {
+			p.destroy(it.v)
+			p.stats.Reaped++
+			reaped++
+		} else {
+			kept = append(kept, it)
 		}
-		for i := len(kept); i < len(ks.shelf); i++ {
-			ks.shelf[i] = item{}
-		}
-		ks.shelf = kept
 	}
+	clear(p.shelf[len(kept):])
+	p.shelf = kept
 	return reaped
 }
 
 // DrainAll destroys every shelf item (scenario teardown).
-func (p *Pool) DrainAll() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, key := range p.order {
-		ks := p.keys[key]
-		for _, it := range ks.shelf {
-			p.fn.Destroy(it.v)
-		}
-		ks.shelf = nil
+func (p *Pool[T]) DrainAll() {
+	for _, it := range p.shelf {
+		p.destroy(it.v)
 	}
-}
-
-// WarmCount reports how many clones sit on key's shelf.
-func (p *Pool) WarmCount(key string) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if ks := p.keys[key]; ks != nil {
-		return len(ks.shelf)
-	}
-	return 0
+	p.shelf = nil
 }
 
 // Stats returns a copy of the activity counters.
-func (p *Pool) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stats
-}
-
-// HitRatio is Hits / (Hits + Misses), 0 when nothing was acquired.
-func (s Stats) HitRatio() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
-}
+func (p *Pool[T]) Stats() Stats { return p.stats }

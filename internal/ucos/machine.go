@@ -69,8 +69,6 @@ type Machine interface {
 	RequestHwTask(taskID uint16) HwGrant
 	// ReleaseHwTask gives a held task back.
 	ReleaseHwTask(taskID uint16)
-	// ReconfigBusy polls the PCAP completion signal (§IV-E polling mode).
-	ReconfigBusy() bool
 	// ReconfigStatus is the fault-aware poll: StatusReconfig while the
 	// download is still in flight, StatusFaulted when the hypervisor's
 	// retry budget ran out (the guest must release and re-request), and

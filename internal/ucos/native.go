@@ -9,6 +9,7 @@ import (
 	"repro/internal/hwtask"
 	"repro/internal/measure"
 	"repro/internal/mmu"
+	"repro/internal/nova"
 	"repro/internal/physmem"
 	"repro/internal/pl"
 	"repro/internal/simclock"
@@ -237,9 +238,9 @@ func (nm *NativeMachine) RequestHwTask(taskID uint16) HwGrant {
 			nm.Mgr.NotifyLoaded(r)
 		}
 	}
-	req := hwtask.Request{
-		Kind:     hwtask.ReqAcquire,
-		ReqID:    nm.reqSeq,
+	req := nova.MgrRequestView{
+		Kind:     nova.HwReqAcquire,
+		ID:       nm.reqSeq,
 		ClientID: 0,
 		TaskID:   taskID,
 		DataVA:   uint32(nm.dataWin.Base),
@@ -263,12 +264,9 @@ func (nm *NativeMachine) RequestHwTask(taskID uint16) HwGrant {
 // ReleaseHwTask implements Machine.
 func (nm *NativeMachine) ReleaseHwTask(taskID uint16) {
 	nm.reqSeq++
-	req := hwtask.Request{Kind: hwtask.ReqRelease, ReqID: nm.reqSeq, ClientID: 0, TaskID: taskID}
+	req := nova.MgrRequestView{Kind: nova.HwReqRelease, ID: nm.reqSeq, ClientID: 0, TaskID: taskID}
 	nm.Mgr.Handle(nm.mgrCtx, req, nm.actions)
 }
-
-// ReconfigBusy implements Machine.
-func (nm *NativeMachine) ReconfigBusy() bool { return nm.Fabric.PCAP.Busy() }
 
 // ReconfigStatus implements Machine: the native baseline has no fault
 // plan, so the download either runs or is done.

@@ -160,11 +160,6 @@ func (m *VirtMachine) ReleaseHwTask(taskID uint16) {
 	m.Env.Hypercall(abi.HcHwTaskRelease, uint32(taskID))
 }
 
-// ReconfigBusy implements Machine (PCAP completion polling, §IV-E).
-func (m *VirtMachine) ReconfigBusy() bool {
-	return m.Env.Hypercall(abi.HcHwTaskStatus, 0) == abi.StatusReconfig
-}
-
 // ReconfigStatus implements Machine: the raw HcHwTaskStatus reply, which
 // distinguishes a download still in flight (StatusReconfig) from one the
 // kernel gave up on (StatusFaulted).
