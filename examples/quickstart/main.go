@@ -39,7 +39,7 @@ func main() {
 	k.AttachFabric(fabric)
 
 	mgr := hwtask.NewManager(len(caps), nova.GuestUserBase+0x10_0000)
-	if err := hwtask.InstallTaskSet(mgr, k.Bus, nova.BitstreamStorePA(), caps, hwtask.PaperTaskSet()); err != nil {
+	if err := hwtask.InstallTaskSet(mgr, k.Bus, nova.BitstreamStorePA(), caps); err != nil {
 		log.Fatal(err)
 	}
 

@@ -36,7 +36,7 @@ func buildSystem() (*nova.Kernel, *hwtask.Manager) {
 	}
 	k.AttachFabric(fabric)
 	mgr := hwtask.NewManager(len(caps), nova.GuestUserBase+0x10_0000)
-	if err := hwtask.InstallTaskSet(mgr, k.Bus, nova.BitstreamStorePA(), caps, hwtask.PaperTaskSet()); err != nil {
+	if err := hwtask.InstallTaskSet(mgr, k.Bus, nova.BitstreamStorePA(), caps); err != nil {
 		log.Fatal(err)
 	}
 	svcPD := k.CreatePD(nova.PDConfig{

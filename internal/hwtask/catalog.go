@@ -2,6 +2,7 @@ package hwtask
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/apps"
 	"repro/internal/bitstream"
@@ -162,15 +163,27 @@ func TaskParams(id uint16) (length, param uint32) {
 	}
 }
 
-// InstallTaskSet encodes each spec's synthetic bitstream into the store
-// region on the bus (the .bit files of §IV-B, "stored in the DDR memory"),
-// registers the task in the manager's table with its PRR compatibility
-// list, and returns the specs for reference.
-func InstallTaskSet(m *Manager, bus *physmem.Bus, storePA physmem.Addr, capacities []bitstream.Resources, specs []PaperTaskSpec) error {
+// paperImages holds the encoded .bit image of each PaperTaskSet entry,
+// by catalog position. Synthesize is deterministic, so the images are
+// built once per process and only read afterwards.
+var paperImages = sync.OnceValue(func() [][]byte {
+	specs := PaperTaskSet()
+	raws := make([][]byte, len(specs))
+	for i, s := range specs {
+		raws[i] = bitstream.Synthesize(s.ID, s.Variant, s.Needs, s.BitLen).Encode()
+	}
+	return raws
+})
+
+// InstallTaskSet stores the paper catalog's synthetic bitstreams in the
+// store region on the bus (the .bit files of §IV-B, "stored in the DDR
+// memory") and registers each task in the manager's table with its PRR
+// compatibility list.
+func InstallTaskSet(m *Manager, bus *physmem.Bus, storePA physmem.Addr, capacities []bitstream.Resources) error {
+	raws := paperImages()
 	off := uint32(0)
-	for _, s := range specs {
-		bs := bitstream.Synthesize(s.ID, s.Variant, s.Needs, s.BitLen)
-		raw := bs.Encode()
+	for i, s := range PaperTaskSet() {
+		raw := raws[i]
 		if err := bus.WriteBytes(storePA+physmem.Addr(off), raw); err != nil {
 			return fmt.Errorf("hwtask: installing %s: %w", s.Name, err)
 		}

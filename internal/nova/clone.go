@@ -218,9 +218,7 @@ func (k *Kernel) CreateClone(img *checkpoint.Image, cfg CloneConfig) *PD {
 	arena := mmu.NewFrameAllocator(arenaBase, cloneArenaSize)
 	pt := mmu.NewPageTable(k.Bus, arena)
 	mapKernelInto(pt)
-	shared := 0
-	img.EachFrame(func(va uint32, pa physmem.Addr) { shared++ })
-	cs := &cloneState{img: img, arena: arena, arenaBase: arenaBase, shared: shared}
+	cs := &cloneState{img: img, arena: arena, arenaBase: arenaBase}
 	pd := &PD{
 		ID:       id,
 		Name_:    cfg.Name,
@@ -242,19 +240,18 @@ func (k *Kernel) CreateClone(img *checkpoint.Image, cfg CloneConfig) *PD {
 		lastHcEntry:    img.LastHcEntry,
 		timerRemaining: img.TimerRemaining,
 	}
-	// Map every template frame read-only and take a share reference. The
-	// domain comes from the image region; AP user-read-only is what turns
-	// a clone write into the permission fault cowBreak resolves.
-	domAt := make(map[uint32]uint8, len(img.Regions))
+	// Map every template frame read-only and take a share reference, in
+	// EachFrame's order. The domain comes from the image region; AP
+	// user-read-only is what turns a clone write into the permission
+	// fault cowBreak resolves.
 	for _, r := range img.Regions {
 		for off := uint32(0); off < r.Size; off += physmem.FrameSize {
-			domAt[r.VA+off] = r.Domain
+			pa := r.PA + physmem.Addr(off)
+			pt.MapPage(r.VA+off, pa, r.Domain, mmu.APUserRO)
+			k.Bus.Share(pa)
+			cs.shared++
 		}
 	}
-	img.EachFrame(func(va uint32, pa physmem.Addr) {
-		pt.MapPage(va, pa, domAt[va], mmu.APUserRO)
-		k.Bus.Share(pa)
-	})
 	k.populateCaps(pd, Capability(img.CapBits))
 	pd.node = sched.NewNode(pd, img.Priority, cfg.Affinity)
 	pd.Core = k.Cores[k.Sched.Place(&pd.node)]
@@ -283,7 +280,7 @@ func (k *Kernel) CreateClone(img *checkpoint.Image, cfg CloneConfig) *PD {
 	// The O(metadata) fork charge: fixed base + one descriptor write per
 	// shared frame. Charged on the boot core's clock — forks happen at
 	// engine-stopped points (pool operations), like boot-time CreatePD.
-	k.Clock.Advance(CostCloneBase + simclock.Cycles(shared)*CostClonePerFrame)
+	k.Clock.Advance(CostCloneBase + simclock.Cycles(cs.shared)*CostClonePerFrame)
 	return pd
 }
 

@@ -233,22 +233,38 @@ func (b *Bus) Write8(a Addr, v byte) error {
 // masters (PCAP, AXI HP) that move bulk data without CPU involvement.
 func (b *Bus) ReadBytes(a Addr, n int) ([]byte, error) {
 	out := make([]byte, n)
-	for i := 0; i < n; i++ {
-		v, err := b.Read8(a + Addr(i))
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
+	if err := b.ReadInto(out, a); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// WriteBytes stores p starting at a.
-func (b *Bus) WriteBytes(a Addr, p []byte) error {
-	for i, v := range p {
-		if err := b.Write8(a+Addr(i), v); err != nil {
-			return err
+// ReadInto fills dst with the bytes starting at a. It moves one 4 KB
+// frame per step: RAM regions are frame-aligned, so a frame is wholly RAM
+// or not, and the BusError names the first non-RAM address, as a byte
+// loop's would. Addresses wrap at 2³² like the bus's.
+func (b *Bus) ReadInto(dst []byte, a Addr) error {
+	for len(dst) > 0 {
+		if !isRAM(a) {
+			return &BusError{Addr: a}
 		}
+		n := copy(dst, b.frame(a)[a&(FrameSize-1):])
+		dst = dst[n:]
+		a += Addr(n)
+	}
+	return nil
+}
+
+// WriteBytes stores p starting at a, one frame at a time. On a bus error
+// the frames before the failing address are already written.
+func (b *Bus) WriteBytes(a Addr, p []byte) error {
+	for len(p) > 0 {
+		if !isRAM(a) {
+			return &BusError{Addr: a, Write: true}
+		}
+		n := copy(b.frame(a)[a&(FrameSize-1):], p)
+		p = p[n:]
+		a += Addr(n)
 	}
 	return nil
 }

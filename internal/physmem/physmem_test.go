@@ -2,6 +2,7 @@ package physmem
 
 import (
 	"bytes"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -147,5 +148,130 @@ func TestPropertyWordRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refReadBytes and refWriteBytes are the byte-at-a-time oracles for the
+// frame-granular bulk copies.
+func refReadBytes(b *Bus, a Addr, n int) ([]byte, error) {
+	out := make([]byte, n)
+	for i := range out {
+		v, err := b.Read8(a + Addr(i))
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
+func refWriteBytes(b *Bus, a Addr, p []byte) error {
+	for i, v := range p {
+		if err := b.Write8(a+Addr(i), v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// busErrAddr returns the address of a *BusError, failing on anything else.
+func busErrAddr(t *testing.T, err error, write bool) Addr {
+	t.Helper()
+	be, ok := err.(*BusError)
+	if !ok || be.Write != write {
+		t.Fatalf("error %v, want *BusError with Write=%v", err, write)
+	}
+	return be.Addr
+}
+
+// sameFrames fails unless both buses hold the same allocated frames with
+// the same contents.
+func sameFrames(t *testing.T, got, want *Bus) {
+	t.Helper()
+	if g, w := got.TouchedFrames(), want.TouchedFrames(); g != w {
+		t.Fatalf("TouchedFrames = %d, reference %d", g, w)
+	}
+	for _, tbl := range [][2][]*frameBuf{{got.ddr, want.ddr}, {got.ocm, want.ocm}} {
+		for i := range tbl[0] {
+			g, w := tbl[0][i], tbl[1][i]
+			if (g == nil) != (w == nil) || (g != nil && *g != *w) {
+				t.Fatalf("frame %d differs from the reference", i)
+			}
+		}
+	}
+}
+
+func TestBulkCopyMatchesByteLoop(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	fast, ref := NewBus(), NewBus()
+	for i := 0; i < 300; i++ {
+		a := DDRBase + Addr(rng.IntN(16*FrameSize))
+		var n int
+		switch i % 4 {
+		case 0:
+			n = 0
+		case 1:
+			n = rng.IntN(FrameSize) // straddles at most one boundary
+		default:
+			n = rng.IntN(5 * FrameSize) // several boundaries
+		}
+		p := make([]byte, n)
+		for j := range p {
+			p[j] = byte(rng.Uint32())
+		}
+		if i%2 == 0 {
+			if err := fast.WriteBytes(a, p); err != nil {
+				t.Fatalf("WriteBytes(%#x, %d): %v", a, n, err)
+			}
+			_ = refWriteBytes(ref, a, p)
+		} else {
+			got, err := fast.ReadBytes(a, n)
+			want, _ := refReadBytes(ref, a, n)
+			if err != nil || !bytes.Equal(got, want) || len(got) != n {
+				t.Fatalf("ReadBytes(%#x, %d) = %d bytes, %v; differs from the byte loop", a, n, len(got), err)
+			}
+		}
+	}
+	sameFrames(t, fast, ref)
+}
+
+func TestBulkCopyPastDDRTop(t *testing.T) {
+	top := DDRBase + DDRSize
+	a := top - 2*FrameSize - 100
+	p := bytes.Repeat([]byte{0xA5}, 3*FrameSize)
+
+	fast, ref := NewBus(), NewBus()
+	werr := fast.WriteBytes(a, p)
+	wref := refWriteBytes(ref, a, p)
+	if g, w := busErrAddr(t, werr, true), busErrAddr(t, wref, true); g != w || g != top {
+		t.Errorf("write error at %#x, reference %#x, want %#x", g, w, top)
+	}
+	sameFrames(t, fast, ref)
+
+	fast, ref = NewBus(), NewBus()
+	got, rerr := fast.ReadBytes(a, len(p))
+	_, rref := refReadBytes(ref, a, len(p))
+	if got != nil {
+		t.Errorf("failed read returned %d bytes, want nil", len(got))
+	}
+	if g, w := busErrAddr(t, rerr, false), busErrAddr(t, rref, false); g != w || g != top {
+		t.Errorf("read error at %#x, reference %#x, want %#x", g, w, top)
+	}
+	sameFrames(t, fast, ref) // frames before the failure materialized alike
+}
+
+func TestBulkCopyWrapsPastTopOfOCM(t *testing.T) {
+	a := Addr(0xFFFF_FFF0) // last 16 bytes of OCM
+	b := NewBus()
+	if err := b.WriteBytes(a, make([]byte, 64)); busErrAddr(t, err, true) != 0 {
+		t.Errorf("write wrapping past 2^32 failed at %v, want address 0", err)
+	}
+	buf := make([]byte, 64)
+	if err := b.ReadInto(buf, a); busErrAddr(t, err, false) != 0 {
+		t.Errorf("read wrapping past 2^32 failed at %v, want address 0", err)
+	}
+	hole := Addr(0xF000_0010) // unaligned, in no RAM region
+	if err := b.ReadInto(buf, hole); busErrAddr(t, err, false) != hole {
+		t.Errorf("read from a hole failed at %v, want %#x", err, hole)
 	}
 }

@@ -43,6 +43,9 @@ type PCAP struct {
 		n      int
 		target int
 	}
+	// buf is the download buffer finish reads bitstreams into, reused
+	// across transfers and grown only when a longer one arrives.
+	buf []byte
 
 	// OnComplete, when set, observes every finished transfer (after the
 	// status registers are updated and the IRQ is raised). The
@@ -155,8 +158,11 @@ func (p *PCAP) finish() {
 		fail(fmt.Errorf("pcap: bad target PRR %d", target))
 		return
 	}
-	raw, err := p.f.Bus.ReadBytes(src, n)
-	if err != nil {
+	if cap(p.buf) < n {
+		p.buf = make([]byte, n)
+	}
+	raw := p.buf[:n]
+	if err := p.f.Bus.ReadInto(raw, src); err != nil {
 		fail(err)
 		return
 	}
@@ -165,6 +171,7 @@ func (p *PCAP) finish() {
 		fail(err)
 		return
 	}
+	bs.Payload = nil // aliases buf; the next download overwrites it
 	if err := p.f.LoadConfiguration(target, bs); err != nil {
 		fail(err)
 		return

@@ -119,7 +119,9 @@ type PRR struct {
 	Capacity bitstream.Resources
 
 	// Loaded is the currently configured task (nil when the region holds
-	// no valid configuration).
+	// no valid configuration). A PCAP download installs it with a nil
+	// Payload: the configuration frames are consumed by the transfer, and
+	// only TaskID and Variant are read afterwards.
 	Loaded *bitstream.Bitstream
 	core   Accel
 

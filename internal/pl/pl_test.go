@@ -2,6 +2,7 @@ package pl
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/bitstream"
@@ -354,5 +355,56 @@ func TestIRQStatW1C(t *testing.T) {
 	bus.Write32(gb+RegIRQStat, 1)
 	if v, _ := bus.Read32(gb + RegIRQStat); v&1 != 0 {
 		t.Error("W1C did not clear done bit")
+	}
+}
+
+// pcapDownload stages raw at src and runs one PCAP transfer into PRR target.
+func pcapDownload(t *testing.T, clock *simclock.Clock, bus *physmem.Bus, src physmem.Addr, raw []byte, target int) {
+	t.Helper()
+	if err := bus.WriteBytes(src, raw); err != nil {
+		t.Fatal(err)
+	}
+	bus.Write32(physmem.DevCfgBase+PCAPRegSrc, uint32(src))
+	bus.Write32(physmem.DevCfgBase+PCAPRegLen, uint32(len(raw)))
+	bus.Write32(physmem.DevCfgBase+PCAPRegTarget, uint32(target))
+	bus.Write32(physmem.DevCfgBase+PCAPRegCtrl, 1)
+	clock.RunUntilIdle(10)
+	if v, _ := bus.Read32(physmem.DevCfgBase + PCAPRegStatus); v != 2 {
+		t.Fatalf("PCAP status = %d, want done", v)
+	}
+}
+
+func TestPCAPReusedBufferDoesNotAlias(t *testing.T) {
+	clock, bus, _, f := rig()
+	a := bitstream.Synthesize(1, 2, bitstream.Resources{LUTs: 1500}, 8192).Encode()
+	b := bitstream.Synthesize(1, 5, bitstream.Resources{LUTs: 1500}, 20000).Encode()
+	pcapDownload(t, clock, bus, physmem.DDRBase+2<<20, a, 1)
+	pcapDownload(t, clock, bus, physmem.DDRBase+3<<20, b, 0)
+	l1, l0 := f.PRRs[1].Loaded, f.PRRs[0].Loaded
+	if l1 == nil || l0 == nil {
+		t.Fatal("a download left its PRR unconfigured")
+	}
+	if l1.TaskID != 1 || l1.Variant != 2 || l1.Payload != nil {
+		t.Errorf("PRR1 after a second download holds task %d variant %d with %d payload bytes, want 1/2 with nil Payload",
+			l1.TaskID, l1.Variant, len(l1.Payload))
+	}
+	if l0.Variant != 5 || l0.Payload != nil {
+		t.Errorf("PRR0 holds variant %d with %d payload bytes, want 5 with nil Payload", l0.Variant, len(l0.Payload))
+	}
+}
+
+func TestPCAPDownloadsReuseOneBuffer(t *testing.T) {
+	clock, bus, _, _ := rig()
+	raw := bitstream.Synthesize(1, 0, bitstream.Resources{LUTs: 1500}, 150<<10).Encode()
+	src := physmem.DDRBase + 2<<20
+	pcapDownload(t, clock, bus, src, raw, 0) // warm-up grows the buffer
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 50; i++ {
+		pcapDownload(t, clock, bus, src, raw, 0)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= uint64(len(raw)) {
+		t.Errorf("50 downloads allocated %d bytes, want < one bitstream (%d)", got, len(raw))
 	}
 }

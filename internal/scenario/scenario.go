@@ -213,7 +213,7 @@ func Build(spec Spec) *System {
 	k.EnableQoS(spec.QoS)
 
 	mgr := hwtask.NewManager(len(caps), nova.GuestUserBase+0x10_0000)
-	if err := hwtask.InstallTaskSet(mgr, k.Bus, nova.BitstreamStorePA(), caps, hwtask.PaperTaskSet()); err != nil {
+	if err := hwtask.InstallTaskSet(mgr, k.Bus, nova.BitstreamStorePA(), caps); err != nil {
 		panic(fmt.Sprintf("scenario %q: %v", spec.Name, err))
 	}
 	svc := hwtask.NewService(mgr, k)

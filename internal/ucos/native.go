@@ -73,7 +73,7 @@ func NewNativeMachine(cores map[uint16]pl.Accel) *NativeMachine {
 	}
 
 	mgr := hwtask.NewManager(len(caps), nativeMgrCode+0x8000)
-	if err := hwtask.InstallTaskSet(mgr, bus, nativeStorePA, caps, hwtask.PaperTaskSet()); err != nil {
+	if err := hwtask.InstallTaskSet(mgr, bus, nativeStorePA, caps); err != nil {
 		panic(err)
 	}
 

@@ -24,7 +24,7 @@ func virtSystem(t *testing.T, n int, setup func(vm int, os *OS)) (*nova.Kernel, 
 	k.AttachFabric(fabric)
 
 	mgr := hwtask.NewManager(len(caps), nova.GuestUserBase+0x10_0000)
-	if err := hwtask.InstallTaskSet(mgr, k.Bus, nova.BitstreamStorePA(), caps, hwtask.PaperTaskSet()); err != nil {
+	if err := hwtask.InstallTaskSet(mgr, k.Bus, nova.BitstreamStorePA(), caps); err != nil {
 		t.Fatal(err)
 	}
 	svc := hwtask.NewService(mgr, k)
