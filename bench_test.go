@@ -7,7 +7,6 @@
 package main
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/bitstream"
@@ -19,7 +18,6 @@ import (
 	"repro/internal/physmem"
 	"repro/internal/pl"
 	"repro/internal/reconfig"
-	"repro/internal/scenario"
 	"repro/internal/simclock"
 	"repro/internal/ucos"
 )
@@ -236,7 +234,7 @@ func BenchmarkAblationHwMMU(b *testing.B) {
 			sys.Kernel.Fabric.HwMMU.Disabled = disabled
 			sys.Kernel.RunFor(simclock.FromMillis(400))
 			b.ReportMetric(sys.Kernel.Probes.Get(measure.PhaseMgrExec).MeanMicros(), "exec_us")
-			b.ReportMetric(float64(sys.Kernel.Fabric.HwMMU.Violations.Load()), "violations")
+			b.ReportMetric(float64(sys.Kernel.Fabric.HwMMU.Violations), "violations")
 			sys.Kernel.Shutdown()
 		}
 	}
@@ -308,55 +306,6 @@ func BenchmarkAblationManagerPriority(b *testing.B) {
 	}
 	b.Run("service-prio", func(b *testing.B) { run(b, false) })
 	b.Run("guest-prio", func(b *testing.B) { run(b, true) })
-}
-
-// parallelBenchSpecs returns the parallel-engine benchmark subjects:
-// oversubscribed-8vm core-scaled to four unaffined cores and
-// dual-core-spread as shipped. Both keep every VM floating so the load
-// actually spreads.
-func parallelBenchSpecs(short bool) []scenario.Spec {
-	over, ok := scenario.FindSpec("oversubscribed-8vm", short)
-	if !ok {
-		panic("oversubscribed-8vm missing from the suite")
-	}
-	over.Name = "oversubscribed-8vm-4core"
-	over.Cores = 4
-	dual, ok := scenario.FindSpec("dual-core-spread", short)
-	if !ok {
-		panic("dual-core-spread missing from the suite")
-	}
-	return []scenario.Spec{over, dual}
-}
-
-// BenchmarkParallelScenario measures the epoch-barrier parallel engine on
-// the multi-core benchmark scenarios: the "seq" sub-benchmark is the
-// sequential reference loop, each "shardsN" sub-benchmark the same spec
-// on N host goroutines. The simulated result is byte-identical across all
-// of them (scenario.TestParallelInSystemMatchesSequential); ns/op is the
-// wall-clock story, and only spreads on a multi-core host.
-func BenchmarkParallelScenario(b *testing.B) {
-	for _, spec := range parallelBenchSpecs(testing.Short()) {
-		for _, shards := range []int{0, 1, 2, 4} {
-			name := spec.Name + "/seq"
-			if shards > 0 {
-				name = fmt.Sprintf("%s/shards%d", spec.Name, shards)
-			}
-			s := spec
-			s.Shards = shards
-			b.Run(name, func(b *testing.B) {
-				var sum uint64
-				for i := 0; i < b.N; i++ {
-					r := scenario.Build(s).Run()
-					if sum == 0 {
-						sum = r.Checksum
-					} else if r.Checksum != sum {
-						b.Fatalf("checksum diverged across runs: %016x vs %016x", r.Checksum, sum)
-					}
-					b.ReportMetric(r.SimMs, "sim_ms")
-				}
-			})
-		}
-	}
 }
 
 // BenchmarkSimThroughput measures the batched memory-path engine against

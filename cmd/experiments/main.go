@@ -12,7 +12,6 @@
 //	go run ./cmd/experiments -dualcore  # dual-core offload comparison
 //	go run ./cmd/experiments -reconfig  # reconfiguration-pipeline sweep
 //	go run ./cmd/experiments -scenario  # multi-VM stress-scenario suite (parallel, checksummed)
-//	go run ./cmd/experiments -scenario -shards 4  # same suite on the epoch-barrier parallel engine
 //	go run ./cmd/experiments -faults    # just the fault-injection/QoS scenarios
 //	go run ./cmd/experiments -faults -fault-seed 99  # same, replaying an alternate fault plan
 //	go run ./cmd/experiments -interference  # noisy-neighbor p99 interference probe
@@ -49,7 +48,6 @@ func main() {
 		interfere  = flag.Bool("interference", false, "run the noisy-neighbor interference probe: critical-VM p99 under a greedy neighbor vs uncontended baseline")
 		snapSweep  = flag.Bool("snapshot", false, "run the checkpoint/fork clone sweep: simulated boot-vs-fork cost and COW copy rate per fleet size")
 		interOut   = flag.String("interference-out", "", "write the interference report here (implies -interference)")
-		shards     = flag.Int("shards", 0, "run each scenario through the epoch-barrier parallel engine on this many host goroutines (0/1 = sequential reference loop)")
 		cacheKB    = flag.Uint("cachekb", 0, "override the bitstream cache budget in KB (0 = default 1024)")
 		guests     = flag.Int("guests", 4, "maximum number of guest VMs")
 		iters      = flag.Int("iters", 24, "measured hardware-task requests per guest")
@@ -129,14 +127,13 @@ func main() {
 			}
 		}
 		for i := range specs {
-			specs[i].Shards = *shards
 			specs[i].Trace = *traceOn
 			if *faultSeed != 0 && specs[i].Faults.Enabled() {
 				specs[i].Faults.Seed = uint32(*faultSeed)
 			}
 		}
-		fmt.Printf("running %d stress scenarios in parallel (short=%v, shards=%d, trace=%v)...\n",
-			len(specs), *scenShort, *shards, *traceOn)
+		fmt.Printf("running %d stress scenarios in parallel (short=%v, trace=%v)...\n",
+			len(specs), *scenShort, *traceOn)
 		results := scenario.RunSuite(specs)
 		table := scenario.SummaryTable(results)
 		fmt.Println(table)

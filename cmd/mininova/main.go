@@ -41,7 +41,7 @@ func main() {
 	fmt.Printf("manager: hits=%d reconfigs=%d reclaims=%d busy=%d\n",
 		st.Hits, st.Reconfigs, st.Reclaims, st.Busy)
 	fmt.Printf("PCAP transfers: %d, hwMMU violations: %d\n",
-		k.Fabric.PCAP.Transfers, k.Fabric.HwMMU.Violations.Load())
+		k.Fabric.PCAP.Transfers, k.Fabric.HwMMU.Violations)
 	for _, pd := range k.PDs {
 		fmt.Printf("  pd %-10s cpu%d prio=%d switches=%-6d hypercalls=%-6d faults=%d\n",
 			pd.Name_, pd.Core.ID, pd.Priority, pd.Switches, pd.Hypercalls, pd.Faults)

@@ -99,7 +99,7 @@ func main() {
 	}
 	fmt.Printf("manager: hits=%d reclaims=%d reconfigs=%d busy=%d\n",
 		mgr.Stats.Hits, mgr.Stats.Reclaims, mgr.Stats.Reconfigs, mgr.Stats.Busy)
-	fmt.Printf("hwMMU violations (must be 0): %d\n", k.Fabric.HwMMU.Violations.Load())
+	fmt.Printf("hwMMU violations (must be 0): %d\n", k.Fabric.HwMMU.Violations)
 	if runs[0] == 0 || runs[1] == 0 {
 		fmt.Println("WARNING: a VM was starved of the shared task")
 	}

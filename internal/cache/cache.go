@@ -316,9 +316,9 @@ func NewA9SharedL2(n int) []*Hierarchy {
 // by-master configuration). Each partition keeps the full 2048 sets, so the
 // index function is unchanged and n may be 1, 2, 4 or 8. Because no line or
 // replacement-rng state is shared, a core's L2 traffic depends
-// only on its own access stream — the property the epoch-barrier parallel
-// run loop needs to let cores advance on concurrent host goroutines while
-// staying bit-deterministic.
+// only on its own access stream — the property the epoch-barrier run loop
+// needs to let cores advance independently within an epoch while staying
+// bit-deterministic.
 func NewA9WayPartitionedL2(n int) []*Hierarchy {
 	if n < 1 || 8%n != 0 {
 		panic(fmt.Sprintf("cache: cannot split 8 L2 ways across %d cores", n))

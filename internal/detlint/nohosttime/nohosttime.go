@@ -7,8 +7,9 @@
 // derived from the simulated clock and seeded generators. `time.Now`
 // smuggles the host into that function; the global `math/rand`
 // functions draw from a process-wide source shared with anything else
-// in the binary (and are racy across the parallel engine's shard
-// goroutines); `os.Getenv` makes behavior depend on who ran the tests.
+// in the binary, including the other scenarios RunSuite runs alongside,
+// so a draw's value depends on host scheduling; `os.Getenv` makes
+// behavior depend on who ran the tests.
 // Seeded `rand.New(rand.NewSource(seed))` generators are fine and are
 // not flagged.
 //

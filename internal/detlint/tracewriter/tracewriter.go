@@ -1,15 +1,8 @@
-// Package tracewriter enforces the PR 7 trace-ring writer discipline on
-// the emit path in internal/trace: every method on the ring types
-// (Ring, Tracer) must be
-//
-//   - nil-receiver-safe — instrumentation sites record unconditionally
-//     (`k.tr.Core(i).Emit(...)` with tracing off), so a method that
-//     touches receiver state must first bail on a nil receiver; and
-//   - lock- and channel-free — a ring is written only by the goroutine
-//     that owns its core (or the single-threaded epoch commit), which
-//     is the entire reason RunParallel needs no synchronization on the
-//     emit path. A lock here would hide a cross-goroutine write the
-//     race detector and the checksum tests are designed to surface.
+// Package tracewriter enforces the trace-ring writer discipline on the
+// emit path in internal/trace: every method on the ring types (Ring,
+// Tracer) must be nil-receiver-safe. Instrumentation sites record
+// unconditionally (`k.tr.Core(i).Emit(...)` with tracing off), so a
+// method that touches receiver state must first bail on a nil receiver.
 //
 // A method may opt out with `//detlint:tracewriter <reason>` (for
 // example, an exporter helper that is documented as post-run only),
@@ -30,9 +23,9 @@ import (
 // Analyzer is the tracewriter pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "tracewriter",
-	Doc: "enforce the trace-ring writer discipline: nil-safe, lock-free emit methods\n\n" +
+	Doc: "enforce the trace-ring writer discipline: nil-safe emit methods\n\n" +
 		"Methods on trace.Ring and trace.Tracer must guard a nil receiver before\n" +
-		"touching state and must not take locks or use channels.",
+		"touching state.",
 	Run: run,
 }
 
@@ -62,7 +55,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				}
 				continue
 			}
-			checkLockFree(pass, fd)
 			checkNilSafe(pass, fd)
 		}
 	}
@@ -77,47 +69,6 @@ func recvTypeName(t ast.Expr) string {
 		return id.Name
 	}
 	return ""
-}
-
-// checkLockFree reports sync primitives, channel operations and
-// goroutine launches inside a writer method.
-func checkLockFree(pass *analysis.Pass, fd *ast.FuncDecl) {
-	name := fd.Name.Name
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
-				if fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func); ok &&
-					fn.Pkg() != nil && fn.Pkg().Path() == "sync" {
-					pass.Reportf(n.Pos(), "trace writer method %s calls sync.%s.%s: the emit path must stay lock-free (single-writer-per-ring discipline)", name, recvShort(fn), fn.Name())
-				}
-			}
-		case *ast.SendStmt:
-			pass.Reportf(n.Pos(), "trace writer method %s sends on a channel: the emit path must not synchronize", name)
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				pass.Reportf(n.Pos(), "trace writer method %s receives from a channel: the emit path must not synchronize", name)
-			}
-		case *ast.SelectStmt:
-			pass.Reportf(n.Pos(), "trace writer method %s uses select: the emit path must not synchronize", name)
-		case *ast.GoStmt:
-			pass.Reportf(n.Pos(), "trace writer method %s starts a goroutine: rings are single-writer", name)
-		}
-		return true
-	})
-}
-
-func recvShort(fn *types.Func) string {
-	if r := fn.Signature().Recv(); r != nil {
-		t := r.Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if n, ok := t.(*types.Named); ok {
-			return n.Obj().Name()
-		}
-	}
-	return "?"
 }
 
 // checkNilSafe requires that any receiver *state* access (field read or

@@ -9,11 +9,10 @@
 // function of the scenario seed, the decision site, the image key, and a
 // per-site occurrence counter — never host randomness and never host
 // time. The reconfiguration pipeline consumes the injector exclusively
-// from the manager core's goroutine, where the epoch-barrier engine
-// already guarantees a deterministic operation order, so the same
-// scenario produces the byte-identical fault sequence sequential vs
-// parallel, shard count notwithstanding. Counters live in Stats and feed
-// the scenario checksums.
+// on the manager's core, where the epoch-barrier engine already
+// guarantees a deterministic operation order, so the same scenario
+// produces the byte-identical fault sequence on every run. Counters live
+// in Stats and feed the scenario checksums.
 package fault
 
 import "repro/internal/simclock"
@@ -117,9 +116,9 @@ func (s Stats) Total() uint64 {
 }
 
 // Injector evaluates a Config at the pipeline's decision points. It is
-// not internally synchronized: call it only from the goroutine that owns
-// the reconfiguration pipeline (the manager core), the same discipline
-// every other pipeline mutation already follows. A nil *Injector is a
+// consulted only on the core that owns the reconfiguration pipeline (the
+// manager core), the same discipline every other pipeline mutation
+// already follows. A nil *Injector is a
 // valid "no faults" value — every method returns the zero outcome.
 type Injector struct {
 	cfg   Config

@@ -14,8 +14,8 @@ import "repro/internal/simclock"
 
 // TokenBucket is a classic integer token bucket: Capacity tokens, one
 // refilled every RefillEvery cycles. The zero value (Capacity 0) is a
-// disabled bucket that admits everything. Not internally synchronized:
-// mutate only from the goroutine that owns the client (its core).
+// disabled bucket that admits everything. Mutate it only on the client's
+// own core, or at an epoch barrier.
 type TokenBucket struct {
 	Capacity    uint32
 	RefillEvery simclock.Cycles

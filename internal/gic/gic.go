@@ -74,18 +74,15 @@ type GIC struct {
 	// npending counts latched pending sources per CPU interface (an SPI
 	// counts against its target), so the nIRQ sample the CPU takes at
 	// every instruction boundary (PendingDeliverable) is O(1) in the
-	// common nothing-pending case. Sharding the counter per interface
-	// keeps each simulated core's hot path on its own cache line when
-	// cores run on concurrent host goroutines.
+	// common nothing-pending case.
 	npending []int
 
 	// Signal is invoked on the rising edge of "an enabled interrupt is
 	// pending and not masked" for a CPU — the nIRQ wire to that core.
 	Signal func(cpu int)
 
-	// stats is sharded per CPU interface for the same reason as npending:
-	// an event is always counted on the goroutine of the interface it is
-	// delivered to, so no two cores write the same bucket. Stats() sums.
+	// stats is kept per CPU interface: an event is counted on the
+	// interface it is delivered to. Stats() sums.
 	stats []Stats
 }
 

@@ -10,7 +10,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/simclock"
 )
@@ -95,13 +94,7 @@ func (p *Probe) Samples() []simclock.Cycles {
 }
 
 // Set is a collection of named probes.
-//
-// Set.Add is safe to call from concurrent core goroutines during a
-// parallel run: the probe aggregates (Count, Total, Min, Max) are
-// commutative, so the final values are independent of host interleaving. Reading a *Probe returned by Get is only safe once the run
-// has quiesced (the reporting paths all run after Run/RunParallel return).
 type Set struct {
-	mu     sync.Mutex
 	probes map[string]*Probe
 }
 
@@ -112,12 +105,6 @@ func NewSet() *Set {
 
 // Get returns (creating if needed) the named probe.
 func (s *Set) Get(name string) *Probe {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.get(name)
-}
-
-func (s *Set) get(name string) *Probe {
 	p, ok := s.probes[name]
 	if !ok {
 		p = &Probe{}
@@ -128,16 +115,12 @@ func (s *Set) get(name string) *Probe {
 
 // Add records a sample on the named probe.
 func (s *Set) Add(name string, d simclock.Cycles) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.get(name).Add(d)
+	s.Get(name).Add(d)
 }
 
 // Reset clears all samples but keeps the probe names and their
 // sample-retention settings.
 func (s *Set) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	//detlint:ordered every probe is reset independently; no cross-probe state
 	for _, p := range s.probes {
 		*p = Probe{Keep: p.Keep}
@@ -146,8 +129,6 @@ func (s *Set) Reset() {
 
 // Names lists probes in sorted order.
 func (s *Set) Names() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]string, 0, len(s.probes))
 	for n := range s.probes {
 		out = append(out, n)
@@ -158,19 +139,9 @@ func (s *Set) Names() []string {
 
 // String renders a compact summary table in sorted-name order, so two
 // dumps of the same state are byte-identical.
-// The whole render happens under one lock — the previous version re-read
-// the maps unlocked between the (locking) name listings, which both raced
-// concurrent writers and could observe a probe added mid-render.
 func (s *Set) String() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	probeNames := make([]string, 0, len(s.probes))
-	for n := range s.probes {
-		probeNames = append(probeNames, n)
-	}
-	sort.Strings(probeNames)
 	var b strings.Builder
-	for _, n := range probeNames {
+	for _, n := range s.Names() {
 		p := s.probes[n]
 		fmt.Fprintf(&b, "%-16s n=%-6d mean=%8.3fus min=%8.3fus max=%8.3fus\n",
 			n, p.Count, p.MeanMicros(), p.Min.Micros(), p.Max.Micros())

@@ -345,9 +345,7 @@ func (k *Kernel) DestroyClone(pd *PD) error {
 // copy the frame into the clone's arena, remap the page writable in
 // place, flush the stale TLB entry, release the share reference. Returns
 // true so the faulting access retries against the private copy. Runs on
-// the clone's own core inside its fault path, so parallel engines break
-// COW concurrently on different clones without sharing state beyond the
-// refcount table.
+// the clone's own core inside its fault path.
 func (k *Kernel) cowBreak(c *CoreCtx, pd *PD, f *mmu.Fault) bool {
 	page := f.VA &^ (physmem.FrameSize - 1)
 	src, _, ap, ok := pd.Table.Lookup(page)

@@ -41,8 +41,7 @@ type CoreCtx struct {
 	vfpOwner *PD
 
 	// ipcFastCalls counts same-core synchronous portal-call handoffs
-	// taken on this core (sharded so concurrent cores never share the
-	// counter; Kernel.IPCFastCalls sums).
+	// taken on this core (Kernel.IPCFastCalls sums).
 	ipcFastCalls uint64
 
 	// BusyCycles accumulates simulated time this core spent executing

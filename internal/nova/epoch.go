@@ -1,21 +1,17 @@
 package nova
 
 import (
-	"sync"
-
 	"repro/internal/cpu"
 	"repro/internal/measure"
 	"repro/internal/simclock"
 	"repro/internal/trace"
 )
 
-// DefaultEpoch is the conservative epoch length of the parallel run loop:
-// cross-core effects (wakes, request postings, IPC handoffs) initiated
-// inside an epoch are delivered at its barrier, so the epoch bounds the
-// model's cross-core signalling latency. 20 µs sits well under the
-// measured manager-entry and wake latencies the scenarios assert, while
-// keeping barrier frequency low enough for the parallel engine to win
-// wall-clock on multi-core workloads.
+// DefaultEpoch is the conservative epoch length of the multi-core run
+// loop: cross-core effects (wakes, request postings, IPC handoffs)
+// initiated inside an epoch are delivered at its barrier, so the epoch
+// bounds the model's cross-core signalling latency. 20 µs sits well under
+// the measured manager-entry and wake latencies the scenarios assert.
 const DefaultEpoch = simclock.Cycles(20 * simclock.CyclesPerMicrosecond)
 
 // farFuture is the "no event, no work" horizon sentinel.
@@ -32,9 +28,9 @@ func since(now, from simclock.Cycles) simclock.Cycles {
 }
 
 // post defers fn to the next epoch barrier, stamped with core c's current
-// time. The committer replays deferred effects in (time, core, seq) order,
-// which is a pure function of simulated state — host scheduling cannot
-// reorder them.
+// time. The committer replays deferred effects in (time, core, post
+// order) order, which is a pure function of simulated state — the order
+// the engine visits the cores in cannot reorder them.
 func (k *Kernel) post(c *CoreCtx, fn func()) {
 	k.committer.Post(c.ID, c.Clock.Now(), fn)
 }
@@ -91,7 +87,7 @@ func (k *Kernel) refreshPRRSnapshot() {
 }
 
 // PRRBusy reports whether PRR r is executing a hardware task. Inside a
-// parallel run the reading core sees the epoch-entry snapshot, at most
+// multi-core run the reading core sees the epoch-entry snapshot, at most
 // one epoch stale — within the polling granularity the workloads use.
 func (k *Kernel) PRRBusy(r int) bool {
 	if k.Fabric == nil {
@@ -116,34 +112,6 @@ func (k *Kernel) reconfigCore() *CoreCtx {
 	return k.Cores[0]
 }
 
-// RunParallel advances the system to the given absolute time using the
-// conservative epoch-barrier engine, spreading the simulated cores over
-// shards host goroutines. The result is byte-identical to Run on the same
-// configuration: a multi-core Run executes the identical epoch algorithm
-// on one goroutine, and within an epoch the cores touch disjoint
-// simulated state (cross-core effects are deferred to the barrier), so
-// host interleaving cannot be observed.
-func (k *Kernel) RunParallel(until simclock.Cycles, shards int) {
-	if len(k.Cores) == 1 {
-		// One simulated core has no cross-core horizon; the sequential
-		// reference loop is the parallel semantics.
-		k.Run(until)
-		return
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > len(k.Cores) {
-		shards = len(k.Cores)
-	}
-	k.runEpochs(until, shards)
-}
-
-// RunParallelFor advances the system by d cycles with RunParallel.
-func (k *Kernel) RunParallelFor(d simclock.Cycles, shards int) {
-	k.RunParallel(k.Clock.Now()+d, shards)
-}
-
 // runEpochs is the epoch-barrier engine. Each iteration computes the
 // earliest instant any lagging core could act (run a PD or fire a local
 // event), closes the epoch window at the next epoch boundary past it,
@@ -151,41 +119,10 @@ func (k *Kernel) RunParallelFor(d simclock.Cycles, shards int) {
 // deferred cross-core effects. Cores with nothing to do jump straight to
 // the window edge, so an idle-heavy system advances at event resolution,
 // not epoch resolution.
-func (k *Kernel) runEpochs(until simclock.Cycles, shards int) {
+func (k *Kernel) runEpochs(until simclock.Cycles) {
 	k.running = true
 	defer func() { k.running = false }()
 	k.refreshPRRSnapshot()
-
-	// Persistent shard workers: one goroutine per shard for the whole run,
-	// fed an epoch window per barrier round. Spawning fresh goroutines
-	// every 20 µs epoch costs more than the barrier itself on small
-	// windows. The channel send publishes the commit phase's writes to the
-	// worker; wg.Done/Wait publishes the slice's writes back — the same
-	// happens-before edges the per-epoch spawn provided.
-	var crew []chan simclock.Cycles
-	var wg sync.WaitGroup
-	if shards > 1 {
-		crew = make([]chan simclock.Cycles, shards)
-		for s := range crew {
-			ch := make(chan simclock.Cycles)
-			crew[s] = ch
-			go func(s int, ch chan simclock.Cycles) {
-				for w := range ch {
-					for i := s; i < len(k.Cores); i += shards {
-						if c := k.Cores[i]; c.Clock.Now() < w {
-							k.runSlice(c, w)
-						}
-					}
-					wg.Done()
-				}
-			}(s, ch)
-		}
-		defer func() {
-			for _, ch := range crew {
-				close(ch)
-			}
-		}()
-	}
 	for {
 		t := farFuture
 		allDone := true
@@ -225,18 +162,10 @@ func (k *Kernel) runEpochs(until simclock.Cycles, shards int) {
 			w = until
 		}
 		k.Epochs++
-		if shards <= 1 {
-			for _, c := range k.Cores {
-				if c.Clock.Now() < w {
-					k.runSlice(c, w)
-				}
+		for _, c := range k.Cores {
+			if c.Clock.Now() < w {
+				k.runSlice(c, w)
 			}
-		} else {
-			wg.Add(shards)
-			for _, ch := range crew {
-				ch <- w
-			}
-			wg.Wait()
 		}
 		k.drainCommits()
 	}
@@ -282,8 +211,8 @@ func (k *Kernel) runCoreEpoch(c *CoreCtx, pd *PD, w simclock.Cycles) {
 	k.worldSwitch(c, pd)
 	// Complete the Table III "HW Manager exit" probe when the manager's own
 	// core switches to a guest after a completion (the co-resident layout).
-	// The probe state lives on the manager's core, so only this goroutine
-	// reads it; on a dedicated manager core the exit instead ends when the
+	// The probe state lives on the manager's core, so only that core reads
+	// it; on a dedicated manager core the exit instead ends when the
 	// service self-suspends, inside mgrNextRequest.
 	if k.hwSvc != nil && c == k.hwSvc.Core && pd != k.hwSvc && k.mgrExitArmed {
 		k.Probes.Add(measure.PhaseMgrExit, since(c.Clock.Now(), k.mgrExitFrom))

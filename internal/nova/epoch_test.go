@@ -71,29 +71,3 @@ func TestIdleFastForwardWakes(t *testing.T) {
 		}
 	}
 }
-
-// RunParallel must clamp its shard count: more shards than cores, zero or
-// negative shards all run — and one simulated core always takes the
-// sequential reference loop.
-func TestRunParallelShardClamp(t *testing.T) {
-	for _, shards := range []int{-1, 0, 1, 2, 8} {
-		k := dualKernel()
-		var ran simclock.Cycles
-		k.CreatePD(PDConfig{
-			Name: "g", Priority: PrioGuest, Affinity: sched.MaskOf(0),
-			Guest: &scriptGuest{"g", func(env *Env) {
-				for {
-					start := env.Now()
-					env.Ctx.Exec(200)
-					ran += env.Now() - start
-					env.CheckPreempt()
-				}
-			}},
-		})
-		k.RunParallelFor(simclock.FromMillis(5), shards)
-		if ran == 0 {
-			t.Errorf("shards=%d: guest made no progress", shards)
-		}
-		k.Shutdown()
-	}
-}

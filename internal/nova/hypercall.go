@@ -255,9 +255,9 @@ func (k *Kernel) hcHwTaskRequest(c *CoreCtx, pd *PD, kind HwRequestKind, args [4
 
 	// Cross-core request: the queue and its probes belong to the manager's
 	// core. Charge the doorbell write and enqueue at the barrier, where the
-	// committer orders concurrent callers by (cycle, core, seq) — the
-	// request ID itself is drawn inside the commit so IDs are issued in
-	// deterministic order. The entry probe stamps the commit on the
+	// committer orders callers on different cores by (cycle, core, post
+	// order) — the request ID itself is drawn inside the commit so IDs are
+	// issued in deterministic order. The entry probe stamps the commit on the
 	// manager core's clock: on separate clock domains it measures the
 	// manager-side dispatch (signal to fetch) — the quantity the dedicated
 	// core shrinks — not the epoch-barrier doorbell lag, which is the
@@ -461,14 +461,10 @@ func (k *Kernel) hcSD(c *CoreCtx, pd *PD, block, ramOffset uint32, write bool) u
 		if err != nil {
 			return StatusErr
 		}
-		k.sdMu.Lock()
 		k.sd[block] = data
-		k.sdMu.Unlock()
 		return StatusOK
 	}
-	k.sdMu.Lock()
 	data, ok := k.sd[block]
-	k.sdMu.Unlock()
 	if !ok {
 		data = make([]byte, 512)
 	}
@@ -598,9 +594,9 @@ func (k *Kernel) mgrMapIface(c *CoreCtx, reqID uint32, prr int) uint32 {
 		client.Core.CPU.TLB.FlushVA(va, client.ASID)
 		client.Core.CPU.CP15Write(cpu.CP15TLBIMVA, va)
 	} else {
-		// The client core's TLB is live on another goroutine: charge the
+		// The client core's TLB belongs to another core: charge the
 		// maintenance here, apply the shootdown at the barrier — it lands
-		// before the completion wake (same shard, earlier sequence), so the
+		// before the completion wake (same core, posted earlier), so the
 		// client never runs on the stale entry.
 		c.Clock.Advance(cpu.CostCP15Op)
 		asid := client.ASID
@@ -785,7 +781,7 @@ func (k *Kernel) mgrPCAPStart(c *CoreCtx, reqID, srcOff, length uint32, prr int,
 			// The download failed for good (retries exhausted): no
 			// completion IRQ ever fires. Latch the fault for the client's
 			// next HcHwTaskStatus poll and charge its breaker heavily. The
-			// client core's goroutine may be live mid-epoch, so when the
+			// client's state belongs to its own core mid-epoch, so when the
 			// client is homed elsewhere the charge lands at the barrier.
 			mc := k.reconfigCore()
 			fail := func() {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"iter"
 	"strings"
-	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/capspace"
@@ -75,7 +74,7 @@ type Kernel struct {
 
 	PDs []*PD
 
-	// Epoch is the barrier interval of the parallel run loop (see
+	// Epoch is the barrier interval of the multi-core run loop (see
 	// DefaultEpoch); Epochs counts barrier windows executed, for the
 	// idle fast-forward diagnostics (not part of any scenario digest).
 	Epoch  simclock.Cycles
@@ -86,9 +85,9 @@ type Kernel struct {
 	running bool
 
 	// committer collects cross-core effects posted during an epoch and
-	// replays them in deterministic (time, core, seq) order at the
+	// replays them in deterministic (time, core, post order) order at the
 	// barrier; inCommit marks that replay so wake paths turn immediate.
-	committer *simclock.Committer
+	committer simclock.Committer
 	inCommit  bool
 
 	// prrBusySnap is the barrier-refreshed PRR busy snapshot cores poll
@@ -139,11 +138,7 @@ type Kernel struct {
 	Console strings.Builder
 
 	// sd is the simulated SD card (block number -> 512-byte block).
-	// sdMu guards the map header only — cores on concurrent goroutines
-	// read and replace whole blocks; block contents are immutable once
-	// stored.
-	sd   map[uint32][]byte
-	sdMu sync.Mutex
+	sd map[uint32][]byte
 
 	// EagerVFP disables the lazy-switch policy of Table I: the full VFP
 	// context is saved and restored on every world switch (ablation).
@@ -172,8 +167,8 @@ func NewKernel() *Kernel { return NewKernelSMP(1) }
 // caches, TLBs, private timers and GIC CPU interfaces — the dual-core
 // Zynq-7000 at ncores == 2. Clock aliases core 0's clock; on a
 // single-core machine it is the only one. A multi-core machine carries
-// way-partitioned L2 slices so concurrent core goroutines never share
-// mutable cache state.
+// way-partitioned L2 slices, so no core's cache state depends on the
+// order the engine runs the cores in within an epoch.
 func NewKernelSMP(ncores int) *Kernel {
 	if ncores < 1 {
 		panic("nova: need at least one core")
@@ -182,17 +177,16 @@ func NewKernelSMP(ncores int) *Kernel {
 	bus := physmem.NewBus()
 	g := gic.NewMP(ncores)
 	k := &Kernel{
-		Clock:     clock,
-		Bus:       bus,
-		GIC:       g,
-		Alloc:     mmu.NewFrameAllocator(physTables, 8<<20),
-		Sched:     sched.NewPrioRR(ncores, simclock.FromMillis(DefaultQuantumMs)),
-		Probes:    measure.NewSet(),
-		Epoch:     DefaultEpoch,
-		committer: simclock.NewCommitter(ncores),
-		hwByID:    make(map[uint32]*HwRequest),
-		sd:        make(map[uint32][]byte),
-		asidNext:  1,
+		Clock:    clock,
+		Bus:      bus,
+		GIC:      g,
+		Alloc:    mmu.NewFrameAllocator(physTables, 8<<20),
+		Sched:    sched.NewPrioRR(ncores, simclock.FromMillis(DefaultQuantumMs)),
+		Probes:   measure.NewSet(),
+		Epoch:    DefaultEpoch,
+		hwByID:   make(map[uint32]*HwRequest),
+		sd:       make(map[uint32][]byte),
+		asidNext: 1,
 	}
 	// Kernel address space: global mappings only; ASID 0. One table,
 	// shared by every core (§III-C: kernel mappings are global).
@@ -300,8 +294,8 @@ func (k *Kernel) AttachFabric(f *pl.Fabric) {
 // bindManagerClocks pins the reconfiguration machinery to the manager
 // service's home core on a multi-core machine: the PCAP completion line
 // targets that core's GIC bank, and the fabric/pipeline default clocks
-// become that core's cursor, so reconfiguration events fire on the
-// goroutine that owns them.
+// become that core's cursor, so reconfiguration events fire on the core
+// that owns them.
 func (k *Kernel) bindManagerClocks() {
 	if len(k.Cores) == 1 || k.hwSvc == nil {
 		return
@@ -314,8 +308,8 @@ func (k *Kernel) bindManagerClocks() {
 	if k.Reconfig != nil {
 		k.Reconfig.Clock = clk
 		if k.Tracer != nil {
-			// The pipeline's events fire on the manager core's goroutine
-			// now; move its ring along with its clock.
+			// The pipeline's events fire on the manager's core now; move
+			// its ring along with its clock.
 			k.Reconfig.Trace = k.Tracer.Core(k.hwSvc.Core.ID)
 		}
 	}
@@ -575,14 +569,14 @@ func (e *Env) block() {
 
 // Run executes the system until the given absolute simulated time. A
 // single-core machine runs the paper's sequential loop; a multi-core
-// machine runs the epoch-barrier engine on one goroutine — the reference
-// oracle RunParallel is byte-identical to. The engine's horizon jump also
-// fixes the old loop's idle behaviour: with every core idle, time
+// machine runs the epoch-barrier engine, whose barrier-deferred cross-core
+// effects are the model's multi-core semantics. The engine's horizon jump
+// also fixes the old loop's idle behaviour: with every core idle, time
 // advances in one step to the earliest event instead of creeping through
 // per-core wake polls.
 func (k *Kernel) Run(until simclock.Cycles) {
 	if len(k.Cores) > 1 {
-		k.runEpochs(until, 1)
+		k.runEpochs(until)
 		return
 	}
 	k.running = true
@@ -835,7 +829,7 @@ func (k *Kernel) onIRQ(c *CoreCtx) {
 		// is acknowledged, so the single pending bit can cover several
 		// owners. The line is pinned to the manager's core; completions for
 		// clients homed elsewhere defer their vGIC injection to the barrier
-		// (the owning core's goroutine must not be written mid-epoch).
+		// (another core's vGIC must not be written mid-epoch).
 		for _, own := range k.pcapDone {
 			own := own
 			if own.pd.Core == c {

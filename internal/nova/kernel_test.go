@@ -9,6 +9,7 @@ import (
 	"repro/internal/bitstream"
 	"repro/internal/gic"
 	"repro/internal/pl"
+	"repro/internal/sched"
 	"repro/internal/simclock"
 )
 
@@ -434,19 +435,37 @@ func TestShutdownTerminatesGoroutines(t *testing.T) {
 	}
 }
 
+// A guest panic must reach Run's caller on both run loops: the
+// single-core sequential loop and the multi-core epoch engine, where the
+// panicking guest sits on core 1 rather than the core Run starts from.
 func TestGuestPanicSurfacesFromRun(t *testing.T) {
-	k := NewKernel()
-	defer k.Shutdown() // must return although the guest died mid-run
-	k.CreatePD(PDConfig{Name: "bad", Priority: PrioGuest, Guest: &scriptGuest{"bad", func(env *Env) {
-		env.CheckPreempt()
-		panic("boom")
-	}}})
-	defer func() {
-		if r := recover(); r != "boom" {
-			t.Errorf("RunFor panicked with %v, want boom", r)
-		}
-	}()
-	k.RunFor(simclock.FromMillis(1))
+	for _, tc := range []struct {
+		name     string
+		kernel   func() *Kernel
+		affinity sched.CPUMask
+	}{
+		{"1core", NewKernel, 0},
+		{"2core", dualKernel, sched.MaskOf(1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := tc.kernel()
+			defer k.Shutdown() // must return although the guest died mid-run
+			pd := k.CreatePD(PDConfig{Name: "bad", Priority: PrioGuest, Affinity: tc.affinity,
+				Guest: &scriptGuest{"bad", func(env *Env) {
+					env.CheckPreempt()
+					panic("boom")
+				}}})
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Errorf("RunFor panicked with %v, want boom", r)
+				}
+				if last := k.Cores[len(k.Cores)-1]; pd.Core != last {
+					t.Errorf("guest ran on core %d, want core %d", pd.Core.ID, last.ID)
+				}
+			}()
+			k.RunFor(simclock.FromMillis(1))
+		})
+	}
 }
 
 func TestGuestExitRetiresPD(t *testing.T) {

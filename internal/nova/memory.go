@@ -131,8 +131,9 @@ func (k *Kernel) buildGuestSpace(id int) AddressSpace {
 // allocFor returns the frame allocator backing PD id's page tables. On a
 // single-core machine every space shares the global pool (the sequential
 // loop's byte-frozen layout); a multi-core machine carves a private
-// 256 KB arena per PD out of the pool, so lazy second-level table
-// allocation on concurrent cores never races on the shared cursor.
+// 256 KB arena per PD out of the pool, so a PD's lazy second-level table
+// layout does not depend on how allocations on other cores interleave
+// with its own.
 // 256 KB holds the 16 KB L1 plus every 1 KB L2 a guest can need.
 func (k *Kernel) allocFor(id int) *mmu.FrameAllocator {
 	if len(k.Cores) == 1 {

@@ -203,5 +203,6 @@ func (e *Env) PendingVIRQ() {
 }
 
 // Now returns the simulated time as this PD's core sees it (guests read
-// their own core's counter; cores drift within an epoch in parallel runs).
+// their own core's counter; cores drift within an epoch on a multi-core
+// machine).
 func (e *Env) Now() simclock.Cycles { return e.PD.Core.Clock.Now() }

@@ -181,7 +181,7 @@ func (k *Kernel) CapStats() capspace.Stats {
 }
 
 // IPCFastCalls counts portal calls that took the same-core synchronous
-// handoff fast path (summed over the per-core shards).
+// handoff fast path (summed over the per-core counters).
 func (k *Kernel) IPCFastCalls() uint64 {
 	var n uint64
 	for _, c := range k.Cores {
@@ -191,9 +191,9 @@ func (k *Kernel) IPCFastCalls() uint64 {
 }
 
 // writeConsole appends one byte to the shared console. The console is a
-// single serialized device: concurrent cores defer the write to the
-// barrier so the stream (part of scenario digests) orders by simulated
-// time, not host interleaving.
+// single serialized device: on a multi-core machine the write is deferred
+// to the barrier so the stream (part of scenario digests) orders by
+// simulated time, not by the order the engine visits the cores.
 func (k *Kernel) writeConsole(c *CoreCtx, b byte) {
 	if len(k.Cores) == 1 || k.inCommit {
 		k.Console.WriteByte(b)

@@ -18,10 +18,9 @@ package nova
 // priority model already ranks them above general guests, and the QoS
 // layer must never add jitter to the critical path it protects.
 //
-// All guard state advances on simulated cycles only, touched either by
-// the client's own core goroutine (admission) or inside barrier commits
-// (failure charges), so parallel runs replay the sequential decision
-// sequence exactly.
+// All guard state advances on simulated cycles only, touched either on
+// the client's own core (admission) or inside barrier commits (failure
+// charges), so every run replays the same decision sequence.
 
 import (
 	"repro/internal/fault"

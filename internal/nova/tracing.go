@@ -14,10 +14,9 @@ import (
 // iterates a map — so a traced run produces byte-identical scenario
 // checksums to an untraced one.
 //
-// Ring writer discipline: each per-core ring is written only by the
-// goroutine that logically holds that core — mid-epoch by the core's own
-// host goroutine, at the barrier by the single-threaded commit replay —
-// so rings need no locks even under RunParallel.
+// Ring writer discipline: each per-core ring is written only on behalf of
+// its own core — mid-epoch while that core runs, at the barrier by the
+// commit replay — so a ring holds its core's events in simulated order.
 
 // EnableTrace switches tracing on with the given per-core ring capacity
 // (<= 0 selects trace.DefaultCapacity). Idempotent: a second call returns

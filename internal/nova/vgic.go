@@ -45,8 +45,7 @@ type VGIC struct {
 	// Trace, when set, receives every vGIC state transition
 	// (KindVGICInject / KindVGICEOI / KindVGICRelatch). The kernel's
 	// tracing layer points this at the owning core's event ring; it runs
-	// synchronously on whatever goroutine performed the operation and
-	// must not mutate vGIC state.
+	// synchronously inside the operation and must not mutate vGIC state.
 	Trace func(kind trace.Kind, irq int)
 }
 

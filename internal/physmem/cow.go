@@ -1,9 +1,6 @@
 package physmem
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Copy-on-write frame sharing. A checkpoint image pins the frames of a
 // quiesced guest; each clone forked from the image takes one reference
@@ -12,12 +9,6 @@ import (
 // drops the reference here. A pinned frame is never freed while the
 // image exists, however many clones come and go; an unpinned frame is
 // reclaimed when its last reference drops.
-//
-// The refcount table is shared by every core (parallel runs break COW
-// concurrently on different clones), so it is mutex-guarded — unlike the
-// frame tables themselves, whose safety argument (disjoint per-PD
-// regions) rule in frame() still holds: shared frames are materialized
-// once, under the lock, before any clone can read them.
 
 // frameRef is the sharing state of one 4 KB frame.
 type frameRef struct {
@@ -25,23 +16,24 @@ type frameRef struct {
 	pinned bool
 }
 
-// cowTable holds a bus's refcounts, lazily built on first pin/share so
-// buses that never checkpoint pay nothing.
-type cowTable struct {
-	mu     sync.Mutex
-	frames map[Addr]*frameRef
-}
-
-func (b *Bus) cow() *cowTable {
-	b.cowOnce.Do(func() { b.cowRefs = &cowTable{frames: map[Addr]*frameRef{}} })
-	return b.cowRefs
+// ref returns the sharing state of the frame at fb, creating it (and the
+// table) on first use.
+func (b *Bus) ref(fb Addr) *frameRef {
+	if b.cowRefs == nil {
+		b.cowRefs = map[Addr]*frameRef{}
+	}
+	r := b.cowRefs[fb]
+	if r == nil {
+		r = &frameRef{}
+		b.cowRefs[fb] = r
+	}
+	return r
 }
 
 // frameBase rounds a down to its frame base address.
 func frameBase(a Addr) Addr { return a &^ (FrameSize - 1) }
 
-// Materialize force-allocates the backing frame for a RAM address so
-// later concurrent readers never race the lazy allocation in frame().
+// Materialize force-allocates the backing frame for a RAM address.
 func (b *Bus) Materialize(a Addr) {
 	if !isRAM(a) {
 		panic(fmt.Sprintf("physmem: materialize of non-RAM address %#08x", uint32(a)))
@@ -53,74 +45,47 @@ func (b *Bus) Materialize(a Addr) {
 // immediately and survives until Unpin, regardless of the refcount.
 func (b *Bus) Pin(a Addr) {
 	b.Materialize(a)
-	t := b.cow()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	fb := frameBase(a)
-	r := t.frames[fb]
-	if r == nil {
-		r = &frameRef{}
-		t.frames[fb] = r
-	}
-	r.pinned = true
+	b.ref(frameBase(a)).pinned = true
 }
 
 // Unpin releases the image's hold on the frame. If no clone references
 // remain the frame is reclaimed.
 func (b *Bus) Unpin(a Addr) {
-	t := b.cow()
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	fb := frameBase(a)
-	r := t.frames[fb]
+	r := b.cowRefs[fb]
 	if r == nil || !r.pinned {
 		panic(fmt.Sprintf("physmem: unpin of unpinned frame %#08x", uint32(fb)))
 	}
 	r.pinned = false
 	if r.refs == 0 {
-		b.reclaim(t, fb)
+		b.reclaim(fb)
 	}
 }
 
 // Share takes one clone reference on the frame containing a.
 func (b *Bus) Share(a Addr) {
 	b.Materialize(a)
-	t := b.cow()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	fb := frameBase(a)
-	r := t.frames[fb]
-	if r == nil {
-		r = &frameRef{}
-		t.frames[fb] = r
-	}
-	r.refs++
+	b.ref(frameBase(a)).refs++
 }
 
 // Release drops one clone reference and returns the remaining count. The
 // frame is reclaimed when the count reaches zero and no image pins it.
 func (b *Bus) Release(a Addr) int {
-	t := b.cow()
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	fb := frameBase(a)
-	r := t.frames[fb]
+	r := b.cowRefs[fb]
 	if r == nil || r.refs == 0 {
 		panic(fmt.Sprintf("physmem: release of unshared frame %#08x", uint32(fb)))
 	}
 	r.refs--
 	if r.refs == 0 && !r.pinned {
-		b.reclaim(t, fb)
+		b.reclaim(fb)
 	}
 	return int(r.refs)
 }
 
 // Refs returns the clone reference count on the frame containing a.
 func (b *Bus) Refs(a Addr) int {
-	t := b.cow()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if r := t.frames[frameBase(a)]; r != nil {
+	if r := b.cowRefs[frameBase(a)]; r != nil {
 		return int(r.refs)
 	}
 	return 0
@@ -128,10 +93,7 @@ func (b *Bus) Refs(a Addr) int {
 
 // Pinned reports whether an image pins the frame containing a.
 func (b *Bus) Pinned(a Addr) bool {
-	t := b.cow()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if r := t.frames[frameBase(a)]; r != nil {
+	if r := b.cowRefs[frameBase(a)]; r != nil {
 		return r.pinned
 	}
 	return false
@@ -149,20 +111,19 @@ func (b *Bus) Allocated(a Addr) bool {
 	return false
 }
 
-// reclaim drops the backing buffer and the refcount entry. Caller holds
-// the cow table lock.
-func (b *Bus) reclaim(t *cowTable, fb Addr) {
-	delete(t.frames, fb)
+// reclaim drops the backing buffer and the refcount entry.
+func (b *Bus) reclaim(fb Addr) {
+	delete(b.cowRefs, fb)
 	if fb >= DDRBase && uint64(fb) < uint64(DDRBase)+uint64(DDRSize) {
 		if b.ddr[(fb-DDRBase)>>FrameShift] != nil {
 			b.ddr[(fb-DDRBase)>>FrameShift] = nil
-			b.touched.Add(-1)
+			b.touched--
 		}
 		return
 	}
 	if b.ocm[(fb-OCMBase)>>FrameShift] != nil {
 		b.ocm[(fb-OCMBase)>>FrameShift] = nil
-		b.touched.Add(-1)
+		b.touched--
 	}
 }
 

@@ -11,8 +11,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // Addr is a 32-bit physical address (the Zynq-7000 PS has a 4 GB map).
@@ -93,12 +91,12 @@ type frameBuf [FrameSize]byte
 type Bus struct {
 	ddr     []*frameBuf // DDRSize/FrameSize entries, frame number indexed
 	ocm     []*frameBuf
-	touched atomic.Int64 // allocated frames, for the footprint report
-	windows []window     // sorted by base
+	touched int      // allocated frames, for the footprint report
+	windows []window // sorted by base
 
-	// Copy-on-write frame sharing state (cow.go), built on first use.
-	cowOnce sync.Once
-	cowRefs *cowTable
+	// Copy-on-write frame refcounts (cow.go), built on first pin/share so
+	// buses that never checkpoint pay nothing.
+	cowRefs map[Addr]*frameRef
 }
 
 // NewBus returns an empty bus with DDR and OCM RAM available.
@@ -151,14 +149,8 @@ func (b *Bus) frame(a Addr) *frameBuf {
 		slot = &b.ocm[(a-OCMBase)>>FrameShift]
 	}
 	if *slot == nil {
-		// Parallel runs keep concurrent cores off shared untouched frames:
-		// bytes only move through per-PD regions (disjoint guest RAM bases,
-		// page-table arenas carved at construction), while kernel text and
-		// data traffic is cost-only — the caches track tag state and never
-		// read the bus. A plain slot store is therefore safe; only the
-		// global footprint counter is shared and needs to be atomic.
 		*slot = new(frameBuf)
-		b.touched.Add(1)
+		b.touched++
 	}
 	return *slot
 }
@@ -271,4 +263,4 @@ func (b *Bus) WriteBytes(a Addr, p []byte) error {
 
 // TouchedFrames reports how many distinct 4 KB frames have been allocated;
 // the footprint report uses it as the resident-memory figure.
-func (b *Bus) TouchedFrames() int { return int(b.touched.Load()) }
+func (b *Bus) TouchedFrames() int { return b.touched }

@@ -20,7 +20,6 @@ package pl
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/bitstream"
 	"repro/internal/gic"
@@ -87,10 +86,8 @@ func (w Window) Contains(a physmem.Addr, n uint32) bool {
 // Disabled turns the check off (security ablation: without the hwMMU a
 // hardware task can DMA anywhere, which is exactly the §IV-C threat).
 type HwMMU struct {
-	windows []Window
-	// Violations is atomic: completion-path checks for different PRRs can
-	// run on different core goroutines during a parallel epoch.
-	Violations atomic.Uint64
+	windows    []Window
+	Violations uint64
 	Disabled   bool
 }
 
@@ -109,7 +106,7 @@ func (h *HwMMU) Check(r int, a physmem.Addr, n uint32) bool {
 	if h.windows[r].Contains(a, n) {
 		return true
 	}
-	h.Violations.Add(1)
+	h.Violations++
 	return h.Disabled // disabled: count the breach but let it through
 }
 
@@ -130,8 +127,8 @@ type PRR struct {
 
 	// clock, when set, carries this region's completion events. A mapped
 	// region belongs to exactly one client VM, so its events ride that
-	// client core's clock in parallel runs; nil falls back to the fabric
-	// clock (single-clock configurations and unit tests).
+	// client core's clock on a multi-core machine; nil falls back to the
+	// fabric clock (single-clock configurations and unit tests).
 	clock *simclock.Clock
 
 	regs    [8]uint32
@@ -206,7 +203,7 @@ func (f *Fabric) AllocateIRQ(r int) (int, error) {
 func (f *Fabric) ReleaseIRQ(r int) { f.PRRs[r].IRQLine = -1 }
 
 // BindClock routes PRR r's future completion events onto clk (the owning
-// client core's clock in parallel runs). Pass nil to fall back to the
+// client core's clock on a multi-core machine). Pass nil to fall back to the
 // fabric clock. Must only be called while the region has no task in
 // flight — the manager never remaps a busy region, so the mapping and
 // unmapping paths satisfy this by construction.

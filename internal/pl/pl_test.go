@@ -122,7 +122,7 @@ func TestHwMMUBlocksEscape(t *testing.T) {
 	if v, _ := bus.Read32(gb + RegStatus); v != StatusError {
 		t.Errorf("status = %d, want error on hwMMU violation", v)
 	}
-	if f.HwMMU.Violations.Load() == 0 {
+	if f.HwMMU.Violations == 0 {
 		t.Error("violation not counted")
 	}
 	if f.PRRs[0].DMAErrors != 1 {

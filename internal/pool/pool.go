@@ -6,9 +6,8 @@
 //
 // The owner supplies build/destroy callbacks, and every timestamp is an
 // explicit simulated cycle count passed in by the caller — the pool never
-// reads a clock, so it cannot desynchronize sequential and sharded
-// engines. Calls must happen at points where the simulation engine is
-// stopped (they build and destroy VMs).
+// reads a clock. Calls must happen at points where the simulation engine
+// is stopped (they build and destroy VMs).
 package pool
 
 import "repro/internal/simclock"

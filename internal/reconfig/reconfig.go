@@ -168,13 +168,12 @@ type Pipeline struct {
 
 	// Trace, when set, receives the pipeline's journey events (submit,
 	// fill, queue, PCAP start/done). The kernel points it at the ring of
-	// the core whose goroutine runs the pipeline — the same core Clock
-	// belongs to.
+	// the core that runs the pipeline — the same core Clock belongs to.
 	Trace *trace.Ring
 
 	// Inject, when set, is the scenario's deterministic fault plan. It
-	// must only be consulted from the pipeline's own (manager-core)
-	// goroutine; nil means a fault-free run and zero overhead.
+	// must only be consulted on the pipeline's own (manager) core; nil
+	// means a fault-free run and zero overhead.
 	Inject *fault.Injector
 
 	Stats Stats
@@ -188,8 +187,8 @@ type Pipeline struct {
 	watchdog *simclock.Event
 
 	// prrFaults/prrQuar track per-PRR config-fault health. Indexed by
-	// target PRR, grown on demand; mutated only on the pipeline
-	// goroutine and read by the manager (whose Handle runs there too).
+	// target PRR, grown on demand; mutated only on the pipeline's core
+	// and read by the manager (whose Handle runs there too).
 	prrFaults []int
 	prrQuar   []bool
 }
@@ -550,7 +549,7 @@ func (p *Pipeline) notePRRFault(target int) {
 
 // Quarantined reports whether PRR target is out of the placement pool.
 // Safe wherever pipeline state is readable: the manager's Handle runs on
-// the same core goroutine that mutates it.
+// the same core that mutates it.
 func (p *Pipeline) Quarantined(target int) bool {
 	return target < len(p.prrQuar) && p.prrQuar[target]
 }

@@ -47,10 +47,9 @@ func TestFaultScenariosInjectAndRecover(t *testing.T) {
 
 // Determinism under faults: every fault scenario must produce the
 // byte-identical state dump run after run — the injector draws from the
-// scenario seed only, so injected failures replay exactly. (Shard
-// invariance for these specs is covered by the suite-wide
-// TestParallelInSystemMatchesSequential; this test pins the fault specs
-// explicitly so the CI fault job can target it alone.)
+// scenario seed only, so injected failures replay exactly. The suite-wide
+// TestSuiteDeterminism covers these specs too; this test pins them
+// explicitly so the CI fault job can target it alone.
 func TestFaultScenarioDeterminism(t *testing.T) {
 	for _, name := range faultSpecs {
 		spec, ok := FindSpec(name, true)
@@ -69,17 +68,6 @@ func TestFaultScenarioDeterminism(t *testing.T) {
 		}
 		if a.FaultsInjected != b.FaultsInjected {
 			t.Errorf("%s: injected-fault count diverged: %d vs %d", name, a.FaultsInjected, b.FaultsInjected)
-		}
-		// And across the parallel engine: the fault sequence is part of
-		// the simulated timeline, so shards must not move it.
-		for _, shards := range []int{2, 4} {
-			s := spec
-			s.Shards = shards
-			p := Build(s).Run()
-			if p.Checksum != a.Checksum {
-				t.Errorf("%s: shards=%d checksum %016x != sequential %016x",
-					name, shards, p.Checksum, a.Checksum)
-			}
 		}
 	}
 }

@@ -14,7 +14,6 @@ package scenario
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/fault"
@@ -83,10 +82,7 @@ type Spec struct {
 	RunMs float64
 	// Seed diversifies the per-VM pseudo-random streams.
 	Seed uint32
-	// Shards > 1 runs the simulated cores on that many host goroutines
-	// through the epoch-barrier engine (nova.RunParallel). The checksum is
-	// byte-identical to the sequential engine's on the same spec; 0/1 keeps
-	// the single-goroutine run loop.
+	// Deprecated: ignored. Every run uses the single-goroutine engine.
 	Shards int
 
 	// CacheBytes overrides the bitstream cache budget (0 = default).
@@ -293,8 +289,7 @@ func (s *System) addVM(idx int, vm VM) {
 // line: every period the line asserts burst times, 2 µs apart, so the
 // trailing assertions arrive while the leading one is still in service.
 // The train rides the owning VM's core clock: the line targets that core,
-// so in a parallel run the raise must execute on the goroutine that owns
-// the core's interrupt state.
+// so the raise must execute on the core that owns its interrupt state.
 func (s *System) startStorm(pd *nova.PD, line int, period simclock.Cycles, burst int) {
 	if period <= 0 {
 		period = simclock.FromMicros(200)
@@ -316,7 +311,7 @@ func (s *System) startStorm(pd *nova.PD, line int, period simclock.Cycles, burst
 	shot := 0
 	pulse = func(simclock.Cycles) {
 		s.Kernel.RaisePL(line)
-		atomic.AddUint64(&s.stormPulses, 1)
+		s.stormPulses++
 		shot++
 		if shot%burst == 0 {
 			clk.After(rest, pulse)
@@ -410,9 +405,7 @@ type VMStat struct {
 }
 
 // Run executes the scenario for its simulated budget, computes the state
-// checksum, and tears the system down. Shards > 1 selects the parallel
-// epoch-barrier engine; the result (and checksum) is byte-identical
-// either way.
+// checksum, and tears the system down.
 func (s *System) Run() Result {
 	t0 := time.Now() //detlint:hosttime Result.WallMs is host-side run cost; excluded from the checksummed dump
 	k := s.Kernel
@@ -432,23 +425,12 @@ func (s *System) Run() Result {
 	if s.snap != nil {
 		s.runSnapshot(d)
 	} else {
-		s.advance(d)
+		k.RunFor(d)
 	}
 	res := s.collect()
 	res.WallMs = float64(time.Since(t0).Microseconds()) / 1000 //detlint:hosttime WallMs is reporting-only, never checksummed
 	k.Shutdown()
 	return res
-}
-
-// advance runs the simulation for d more cycles on the engine the spec
-// selected. The phased snapshot runner calls it repeatedly; checksums
-// must stay byte-identical however the budget is chopped.
-func (s *System) advance(d simclock.Cycles) {
-	if s.Spec.Shards > 1 {
-		s.Kernel.RunParallelFor(d, s.Spec.Shards)
-	} else {
-		s.Kernel.RunFor(d)
-	}
 }
 
 // collect gathers the result and checksum from the stopped system.
@@ -459,7 +441,7 @@ func (s *System) collect() Result {
 		Cores:       len(k.Cores),
 		VMs:         len(s.probes),
 		SimMs:       k.Clock.Now().Millis(),
-		StormPulses: atomic.LoadUint64(&s.stormPulses),
+		StormPulses: s.stormPulses,
 	}
 	d := newDigest()
 	d.addf("scenario %s seed %d clock %d", s.Spec.Name, s.Spec.Seed, k.Clock.Now())

@@ -1,9 +1,6 @@
 package scenario
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 // The tentpole guarantee: running the whole suite twice — each run
 // fanning the scenarios out across host goroutines — must produce
@@ -42,54 +39,6 @@ func TestParallelMatchesSequential(t *testing.T) {
 		if seq.Checksum != parallel[i].Checksum {
 			t.Errorf("%s: sequential checksum %016x != parallel %016x",
 				spec.Name, seq.Checksum, parallel[i].Checksum)
-		}
-	}
-}
-
-// The parallel engine's contract: every suite scenario run through
-// RunParallel — whatever the shard count — produces the byte-identical
-// state dump and checksum the sequential loop produces. Any cross-core
-// effect that escapes the epoch barrier, any host-order-dependent merge,
-// any clock read off the wrong core diverges here.
-func TestParallelInSystemMatchesSequential(t *testing.T) {
-	specs := Suite(true)
-	shardCounts := []int{1, 2, 4}
-	type run struct {
-		spec   Spec
-		shards int // 0 = sequential reference
-		res    Result
-	}
-	var runs []run
-	for _, spec := range specs {
-		runs = append(runs, run{spec: spec})
-		for _, sh := range shardCounts {
-			s := spec
-			s.Shards = sh
-			runs = append(runs, run{spec: s, shards: sh})
-		}
-	}
-	var wg sync.WaitGroup
-	for i := range runs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			runs[i].res = Build(runs[i].spec).Run()
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < len(runs); i += 1 + len(shardCounts) {
-		ref := runs[i].res
-		for j := 1; j <= len(shardCounts); j++ {
-			got := runs[i+j].res
-			if got.Checksum != ref.Checksum {
-				t.Errorf("%s: shards=%d checksum %016x != sequential %016x",
-					ref.Name, runs[i+j].shards, got.Checksum, ref.Checksum)
-				continue
-			}
-			if got.Detail != ref.Detail {
-				t.Errorf("%s: shards=%d state dump diverged with equal checksum (hash collision?)",
-					ref.Name, runs[i+j].shards)
-			}
 		}
 	}
 }

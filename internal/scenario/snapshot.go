@@ -181,7 +181,7 @@ func (s *System) bootToQuiescence() {
 		if s.Kernel.Clock.Now() >= limit {
 			panic(fmt.Sprintf("scenario %q: template failed to quiesce within %.1f ms", s.Spec.Name, sr.cfg.BootMs))
 		}
-		s.advance(step)
+		s.Kernel.RunFor(step)
 	}
 }
 
@@ -275,7 +275,7 @@ func (s *System) runSnapshot(d simclock.Cycles) {
 		chunk = d
 	}
 	for done := simclock.Cycles(0); done < d; done += chunk {
-		s.advance(chunk)
+		k.RunFor(chunk)
 		if sr.cfg.TTLMs > 0 {
 			sr.pool.ReapExpired(k.Clock.Now())
 		}

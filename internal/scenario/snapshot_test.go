@@ -70,10 +70,10 @@ func TestWarmPoolReapScenario(t *testing.T) {
 // deliberately scrambled — RAM frames, vCPU registers — and the PD is
 // restored in place from the image before the run continues. A correct
 // checkpoint/restore makes the two timelines indistinguishable.
-func midpointRun(t *testing.T, shards int, interrupt bool) Result {
+func midpointRun(t *testing.T, interrupt bool) Result {
 	t.Helper()
 	spec := Spec{
-		Name: "midpoint-restore", Cores: 2, RunMs: 6, Seed: 21, Shards: shards,
+		Name: "midpoint-restore", Cores: 2, RunMs: 6, Seed: 21,
 		Snapshot: &SnapshotSpec{},
 		VMs:      []VM{{Name: "template"}},
 	}
@@ -123,34 +123,24 @@ func midpointRun(t *testing.T, shards int, interrupt bool) Result {
 
 	chunk := simclock.FromMillis(sys.Spec.RunMs) / 8
 	for i := 0; i < 8; i++ {
-		sys.advance(chunk)
+		sys.Kernel.RunFor(chunk)
 	}
 	return sys.collect()
 }
 
 // TestCheckpointRestoreContinuity: checkpoint mid-run, scramble, restore
 // in place, continue — the final state dump must be byte-identical to an
-// uninterrupted run, sequentially and on every shard count, and the
-// engines must agree with each other.
+// uninterrupted run.
 func TestCheckpointRestoreContinuity(t *testing.T) {
-	var ref Result
-	for i, shards := range []int{0, 2, 4} {
-		base := midpointRun(t, shards, false)
-		restored := midpointRun(t, shards, true)
-		if base.Detail != restored.Detail {
-			t.Fatalf("shards=%d: restored timeline diverged from uninterrupted run\n%s",
-				shards, diffDetail(base.Detail, restored.Detail))
-		}
-		if base.Checksum != restored.Checksum {
-			t.Fatalf("shards=%d: checksum %016x != %016x with identical detail",
-				shards, restored.Checksum, base.Checksum)
-		}
-		if i == 0 {
-			ref = base
-		} else if base.Detail != ref.Detail {
-			t.Fatalf("shards=%d: baseline diverged from sequential baseline\n%s",
-				shards, diffDetail(ref.Detail, base.Detail))
-		}
+	base := midpointRun(t, false)
+	restored := midpointRun(t, true)
+	if base.Detail != restored.Detail {
+		t.Fatalf("restored timeline diverged from uninterrupted run\n%s",
+			diffDetail(base.Detail, restored.Detail))
+	}
+	if base.Checksum != restored.Checksum {
+		t.Fatalf("checksum %016x != %016x with identical detail",
+			restored.Checksum, base.Checksum)
 	}
 }
 

@@ -3,59 +3,35 @@ package scenario
 import (
 	"encoding/json"
 	"strings"
-	"sync"
 	"testing"
 )
 
 // The observability contract: tracing must be a pure observer. Every
-// suite scenario run with tracing on — sequentially and through the
-// parallel engine at 1/2/4 shards — must produce the byte-identical
-// state dump and checksum of the untraced sequential run. Any trace
-// emission that advances a clock, perturbs a probe, or reorders a
-// cross-core effect diverges here.
+// suite scenario run with tracing on must produce the byte-identical
+// state dump and checksum of the untraced run. Any trace emission that
+// advances a clock, perturbs a probe, or reorders a cross-core effect
+// diverges here.
 func TestTraceDoesNotPerturbChecksums(t *testing.T) {
 	specs := Suite(true)
-	shardCounts := []int{1, 2, 4}
-	type run struct {
-		spec Spec
-		res  Result
+	traced := make([]Spec, len(specs))
+	for i, s := range specs {
+		s.Trace = true
+		traced[i] = s
 	}
-	var runs []run
-	for _, spec := range specs {
-		runs = append(runs, run{spec: spec}) // untraced sequential reference
-		for _, sh := range shardCounts {
-			s := spec
-			s.Trace = true
-			s.Shards = sh
-			runs = append(runs, run{spec: s})
+	all := RunSuite(append(specs, traced...))
+	refs, gots := all[:len(specs)], all[len(specs):]
+	for i, ref := range refs {
+		got := gots[i]
+		if got.TraceEvents == 0 {
+			t.Errorf("%s: traced run emitted no events", ref.Name)
 		}
-	}
-	var wg sync.WaitGroup
-	for i := range runs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			runs[i].res = Build(runs[i].spec).Run()
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < len(runs); i += 1 + len(shardCounts) {
-		ref := runs[i].res
-		for j := 1; j <= len(shardCounts); j++ {
-			got := runs[i+j].res
-			shards := runs[i+j].spec.Shards
-			if got.TraceEvents == 0 {
-				t.Errorf("%s: traced run (shards=%d) emitted no events", ref.Name, shards)
-			}
-			if got.Checksum != ref.Checksum {
-				t.Errorf("%s: traced shards=%d checksum %016x != untraced sequential %016x\nflight recorder:\n%s",
-					ref.Name, shards, got.Checksum, ref.Checksum, got.Trace.FlightDump(64))
-				continue
-			}
-			if got.Detail != ref.Detail {
-				t.Errorf("%s: traced shards=%d state dump diverged with equal checksum (hash collision?)",
-					ref.Name, shards)
-			}
+		if got.Checksum != ref.Checksum {
+			t.Errorf("%s: traced checksum %016x != untraced %016x\nflight recorder:\n%s",
+				ref.Name, got.Checksum, ref.Checksum, got.Trace.FlightDump(64))
+			continue
+		}
+		if got.Detail != ref.Detail {
+			t.Errorf("%s: traced state dump diverged with equal checksum (hash collision?)", ref.Name)
 		}
 	}
 }
@@ -70,7 +46,6 @@ func TestReconfigTraceCausalChain(t *testing.T) {
 		t.Fatal("reconfig-thrash spec missing")
 	}
 	spec.Trace = true
-	spec.Shards = 2
 	res := Build(spec).Run()
 	if res.Trace == nil {
 		t.Fatal("traced run returned no tracer")

@@ -95,9 +95,8 @@ func (n *Node) Queued() bool { return n.queued }
 // Observer receives runqueue transitions — the hook the kernel's tracing
 // layer uses to record scheduling decisions. Callbacks fire only on real
 // state changes (an idempotent re-Enqueue of a queued node is silent) and
-// run synchronously on whatever goroutine performed the operation, which
-// under the kernel's discipline is the node's home core or the
-// single-threaded epoch commit. Observers must not call back into the
+// run synchronously inside the operation, which under the kernel's
+// discipline happens on the node's home core or in the epoch commit. Observers must not call back into the
 // policy.
 type Observer interface {
 	// Enqueued fires when a node becomes runnable.

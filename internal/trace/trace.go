@@ -5,16 +5,14 @@
 // timestamped events in per-core bounded ring buffers.
 //
 // Determinism is the design constraint everything here answers to: the
-// scenario engine asserts byte-identical state checksums across runs and
-// across the sequential/parallel engines, and tracing must not perturb
-// them. Consequently:
+// scenario engine asserts byte-identical state checksums across runs, and
+// tracing must not perturb them. Consequently:
 //
 //   - events are stamped with the *simulated* clock only — no host time
 //     anywhere;
-//   - each simulated core owns one ring, written exclusively by the
-//     goroutine that owns that core (or by the single-threaded epoch
-//     commit phase), so parallel runs need no locks and host interleaving
-//     cannot reorder a ring;
+//   - each simulated core owns one ring, written only while that core
+//     runs (or by the epoch commit phase), so a ring's order is the
+//     core's simulated order;
 //   - rings are fixed-capacity and drop-oldest, with a drop counter, so a
 //     long run costs bounded memory and recording never allocates after
 //     ring creation;
@@ -231,9 +229,8 @@ const DefaultCapacity = 16384
 // Ring is one core's bounded event buffer: fixed capacity, drop-oldest.
 // All methods are nil-receiver-safe so instrumentation sites can record
 // unconditionally; a nil ring swallows the event. A ring must only be
-// written by the goroutine that owns its core (or by the single-threaded
-// epoch commit phase) — exactly the discipline the rest of the simulated
-// state already obeys.
+// written on behalf of its own core (or by the epoch commit phase) —
+// exactly the discipline the rest of the simulated state already obeys.
 type Ring struct {
 	buf   []Event
 	start int // index of the oldest event

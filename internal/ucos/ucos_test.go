@@ -293,8 +293,8 @@ func TestNativeHwTaskRoundTrip(t *testing.T) {
 	if nm.Fabric.PRRs[grant.PRR].Runs != 1 {
 		t.Errorf("PRR%d runs = %d, want 1", grant.PRR, nm.Fabric.PRRs[grant.PRR].Runs)
 	}
-	if nm.Fabric.HwMMU.Violations.Load() != 0 {
-		t.Errorf("unexpected hwMMU violations: %d", nm.Fabric.HwMMU.Violations.Load())
+	if nm.Fabric.HwMMU.Violations != 0 {
+		t.Errorf("unexpected hwMMU violations: %d", nm.Fabric.HwMMU.Violations)
 	}
 }
 

@@ -166,8 +166,8 @@ func TestVirtTwoVMsShareHardwareTask(t *testing.T) {
 	if !results[0] || !results[1] {
 		t.Errorf("hardware task completion per VM = %v, want both true", results)
 	}
-	if k.Fabric.HwMMU.Violations.Load() != 0 {
-		t.Errorf("hwMMU violations = %d, want 0", k.Fabric.HwMMU.Violations.Load())
+	if k.Fabric.HwMMU.Violations != 0 {
+		t.Errorf("hwMMU violations = %d, want 0", k.Fabric.HwMMU.Violations)
 	}
 }
 
@@ -196,7 +196,7 @@ func TestVirtIsolationHwTaskDMAConfined(t *testing.T) {
 	if !errSeen {
 		t.Error("no error observed")
 	}
-	if k.Fabric.HwMMU.Violations.Load() == 0 {
+	if k.Fabric.HwMMU.Violations == 0 {
 		t.Error("hwMMU did not record the violation")
 	}
 }
