@@ -15,6 +15,7 @@ import (
 	"repro/internal/hwtask"
 	"repro/internal/nova"
 	"repro/internal/pl"
+	"repro/internal/reconfig"
 	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/ucos"
@@ -34,7 +35,7 @@ func buildSystem() (*nova.Kernel, *hwtask.Manager) {
 	for _, id := range hwtask.FFTTaskIDs {
 		fabric.RegisterCore(id, apps.FFTCore{})
 	}
-	k.AttachFabric(fabric)
+	k.AttachFabric(fabric, reconfig.DefaultConfig())
 	mgr := hwtask.NewManager(len(caps), nova.GuestUserBase+0x10_0000)
 	if err := hwtask.InstallTaskSet(mgr, k.Bus, nova.BitstreamStorePA(), caps); err != nil {
 		log.Fatal(err)

@@ -150,7 +150,7 @@ func (w *ADPCMWorkload) Output() uint64 { return w.digest }
 func (w *ADPCMWorkload) Blocks() uint64 { return w.blocks }
 
 // MemoryHogWorkload streams a large buffer to pressure the cache
-// hierarchy — used by ablation benches to emulate cache-hostile guests.
+// hierarchy — the scenario suite's cache-hostile guests ("memhog").
 type MemoryHogWorkload struct {
 	size   uint32
 	offset uint32

@@ -31,11 +31,9 @@ type Config struct {
 	Iterations int
 	// QuantumMs is the guest time slice (paper: 33 ms).
 	QuantumMs float64
-	// TickMs is the guest OS tick period (paper-realistic: 1 ms).
-	TickMs float64
-	// RequestGapTicks is T_hw's delay between requests, in guest ticks.
-	// Roughly one request per slice mirrors the paper's heavy-workload
-	// regime.
+	// RequestGapTicks is T_hw's delay between requests, in guest ticks
+	// (tickMs). Roughly one request per slice mirrors the paper's
+	// heavy-workload regime.
 	RequestGapTicks uint32
 	// Warmup is the number of per-guest requests executed before the
 	// probes are reset: steady-state averages, as in the paper's
@@ -53,13 +51,16 @@ type Config struct {
 	CacheBytes uint32
 }
 
+// tickMs is the guest OS tick period: uC/OS-II's default (ucos.NewOS),
+// paper-realistic.
+const tickMs = 1
+
 // DefaultConfig returns the configuration used by cmd/experiments.
 func DefaultConfig() Config {
 	return Config{
 		Guests:          4,
 		Iterations:      24,
 		QuantumMs:       33,
-		TickMs:          1,
 		RequestGapTicks: 31,
 		Warmup:          4,
 		Seed:            1,
@@ -182,7 +183,6 @@ func BuildVirtSystem(cfg Config) *VirtSystem {
 		g := &ucos.Guest{
 			GuestName: fmt.Sprintf("ucos-vm%d", i),
 			Setup: func(os *ucos.OS) {
-				os.TickPeriod = simclock.FromMillis(cfg.TickMs)
 				os.TaskCreate("t_hw", 8, hwDriverTask(cfg, i, &sys.done[i], &sys.reqs[i], false, onWarm))
 				os.TaskCreate("workload", 30, workloadTask(i))
 			},
@@ -239,7 +239,6 @@ type NativeSystem struct {
 func BuildNativeSystem(cfg Config) *NativeSystem {
 	nm := ucos.NewNativeMachine(hwtask.PaperCores())
 	os := ucos.NewOS("native-ucos", nm)
-	os.TickPeriod = simclock.FromMillis(cfg.TickMs)
 	sys := &NativeSystem{Machine: nm, OS: os, Probes: nm.Probes}
 	os.TaskCreate("t_hw", 8, hwDriverTask(cfg, 0, &sys.done, &sys.reqs, true, nm.Probes.Reset))
 	os.TaskCreate("workload", 30, workloadTask(0))

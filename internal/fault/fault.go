@@ -54,14 +54,15 @@ type Config struct {
 	// download is retried before the request fails with StatusFaulted
 	// (default 3).
 	MaxRetries int
-	// BackoffBase is the first retry delay; attempt n waits
-	// BackoffBase << (n-1) (default 50µs of cycles).
-	BackoffBase simclock.Cycles
 	// QuarantineAfter is how many config faults a PRR absorbs before the
 	// pipeline quarantines it and placement falls back to healthy PRRs
 	// (default 3).
 	QuarantineAfter int
 }
+
+// BackoffBase is the first retry delay of a faulted SD fill or PCAP
+// download; attempt n waits BackoffBase << (n-1).
+const BackoffBase simclock.Cycles = 50 * simclock.CyclesPerMicrosecond
 
 // Enabled reports whether the plan injects anything at all.
 func (c Config) Enabled() bool {
@@ -76,9 +77,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxRetries == 0 {
 		c.MaxRetries = 3
-	}
-	if c.BackoffBase == 0 {
-		c.BackoffBase = 50 * simclock.CyclesPerMicrosecond
 	}
 	if c.QuarantineAfter == 0 {
 		c.QuarantineAfter = 3

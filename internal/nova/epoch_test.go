@@ -3,6 +3,7 @@ package nova
 import (
 	"testing"
 
+	"repro/internal/abi"
 	"repro/internal/sched"
 	"repro/internal/simclock"
 )
@@ -52,7 +53,7 @@ func TestIdleFastForwardWakes(t *testing.T) {
 		StartSuspended: true,
 		Guest: &scriptGuest{"sleeper", func(env *Env) {
 			ranAt = env.Now()
-			env.Hypercall(HcSuspend)
+			env.Hypercall(abi.HcSuspend)
 		}},
 	})
 	k.Clock.After(simclock.FromMillis(40), func(simclock.Cycles) {

@@ -73,7 +73,7 @@ func (k *Kernel) onSWI(c *CoreCtx, sel int, args [4]uint32) uint32 {
 	t0 := c.Clock.Now()
 	pd := c.Current
 	if pd == nil {
-		return StatusErr
+		return abi.StatusErr
 	}
 	pd.Hypercalls++
 	pd.lastHcEntry = t0 // replay anchor for restored suspend exits (clone.go)
@@ -92,7 +92,7 @@ func (k *Kernel) onSWI(c *CoreCtx, sel int, args [4]uint32) uint32 {
 	} else if p, ok := obj.Payload.(*portalDesc); !ok {
 		// A device-authority object (e.g. the PCAP token) is a portal
 		// capability but not a callable service entry.
-		ret = StatusBadType
+		ret = abi.StatusBadType
 	} else {
 		c.kctx.Exec(p.cost)
 		ret = p.fn(k, c, pd, args)
@@ -112,7 +112,7 @@ func (k *Kernel) onSWI(c *CoreCtx, sel int, args [4]uint32) uint32 {
 // the actively-switched vCPU (Table I).
 func (k *Kernel) hcTimerSet(pd *PD, period simclock.Cycles) uint32 {
 	if period < 100 {
-		return StatusInval // guard against interrupt storms
+		return abi.StatusInval // guard against interrupt storms
 	}
 	k.parkVirtualTimer(pd)
 	pd.VCPU.TimerPeriod = period
@@ -120,7 +120,7 @@ func (k *Kernel) hcTimerSet(pd *PD, period simclock.Cycles) uint32 {
 	if pd == pd.Core.Current {
 		k.armVirtualTimer(pd)
 	}
-	return StatusOK
+	return abi.StatusOK
 }
 
 // hcMapPage inserts va -> RAMBase+offset into the caller's own table —
@@ -128,22 +128,22 @@ func (k *Kernel) hcTimerSet(pd *PD, period simclock.Cycles) uint32 {
 // (§III-A). Guests may only map their own RAM below the kernel split.
 func (k *Kernel) hcMapPage(c *CoreCtx, pd *PD, va, offset uint32) uint32 {
 	if va&0xFFF != 0 || offset&0xFFF != 0 || offset >= pd.RAMSize || va >= KernelCodeVA-0x1000_0000 {
-		return StatusInval
+		return abi.StatusInval
 	}
 	pd.Table.MapPage(va, pd.RAMBase+physmem.Addr(offset), DomainGuestUser, mmu.APFull)
 	k.chargePTEdit(c, pd, va)
 	pd.Core.CPU.CP15Write(cpu.CP15TLBIMVA, va)
-	return StatusOK
+	return abi.StatusOK
 }
 
 func (k *Kernel) hcUnmapPage(c *CoreCtx, pd *PD, va uint32) uint32 {
 	if va >= KernelCodeVA-0x1000_0000 {
-		return StatusInval
+		return abi.StatusInval
 	}
 	pd.Table.UnmapPage(va)
 	k.chargePTEdit(c, pd, va)
 	pd.Core.CPU.CP15Write(cpu.CP15TLBIMVA, va)
-	return StatusOK
+	return abi.StatusOK
 }
 
 // chargePTEdit charges the descriptor traffic of a page-table update on
@@ -164,17 +164,17 @@ func (k *Kernel) chargePTEdit(c *CoreCtx, pd *PD, va uint32) {
 // revokes the previous object so stale delegations die with it.
 func (k *Kernel) hcRegionCreate(pd *PD, va, size uint32) uint32 {
 	if va&0xFFF != 0 || size == 0 || size&0xFFF != 0 || size > pd.RAMSize {
-		return StatusInval
+		return abi.StatusInval
 	}
 	pa, err := translateGuestVA(pd, va)
 	if err != nil {
-		return StatusInval
+		return abi.StatusInval
 	}
 	// The window must lie inside the caller's own RAM: the table also
 	// holds the kernel's global mappings, which must never become a DMA
 	// target.
 	if pa < pd.RAMBase || uint32(pa-pd.RAMBase) > pd.RAMSize-size {
-		return StatusInval
+		return abi.StatusInval
 	}
 	// The section must be fully mapped and physically contiguous (it is a
 	// DMA window the hwMMU describes with one base+size pair): verify every
@@ -182,7 +182,7 @@ func (k *Kernel) hcRegionCreate(pd *PD, va, size uint32) uint32 {
 	for off := uint32(0x1000); off < size; off += 0x1000 {
 		p, err := translateGuestVA(pd, va+off)
 		if err != nil || p != pa+physmem.Addr(off) {
-			return StatusInval
+			return abi.StatusInval
 		}
 	}
 	if pd.Space.RightsAt(SelDataSect) != 0 {
@@ -192,7 +192,7 @@ func (k *Kernel) hcRegionCreate(pd *PD, va, size uint32) uint32 {
 		regionWindow{Base: pa, Size: size})
 	pd.Space.Insert(SelDataSect, region, capspace.RightsAll)
 	pd.DataSectionVA, pd.DataSectionPA, pd.DataSectionSize = va, pa, size
-	return StatusOK
+	return abi.StatusOK
 }
 
 // hcHwTaskRequest queues a request for the Hardware Task Manager,
@@ -203,16 +203,16 @@ func (k *Kernel) hcRegionCreate(pd *PD, va, size uint32) uint32 {
 // (§IV-E).
 func (k *Kernel) hcHwTaskRequest(c *CoreCtx, pd *PD, kind HwRequestKind, args [4]uint32) uint32 {
 	if k.hwSvc == nil || k.Fabric == nil {
-		return StatusErr
+		return abi.StatusErr
 	}
 	if kind == HwReqAcquire {
 		if _, err := pd.Space.Lookup(SelDataSect, capspace.ObjMemRegion, capspace.RightCall); err != capspace.OK {
-			return StatusInval // must register a data section first
+			return abi.StatusInval // must register a data section first
 		}
 		// QoS admission (qos.go): a throttled or circuit-broken client is
 		// bounced here, at the portal, before its request can cost the
 		// manager service (or the PCAP) anything.
-		if st := k.admitHwRequest(c, pd); st != StatusOK {
+		if st := k.admitHwRequest(c, pd); st != abi.StatusOK {
 			return st
 		}
 	}
@@ -302,34 +302,34 @@ func (k *Kernel) hcHwTaskRequest(c *CoreCtx, pd *PD, kind HwRequestKind, args [4
 func (k *Kernel) hcHwTaskStatus(c *CoreCtx, pd *PD, _ uint32) uint32 {
 	c.Clock.Advance(CostDeviceAccess)
 	if k.Fabric == nil {
-		return StatusErr
+		return abi.StatusErr
 	}
 	if k.Reconfig == nil {
-		return StatusOK
+		return abi.StatusOK
 	}
 	if pd.Core == k.reconfigCore() {
 		if k.Reconfig.PendingFor(pd) {
-			return StatusReconfig
+			return abi.StatusReconfig
 		}
 		if pd.reconfigFault {
 			// A reconfiguration for this client failed for good (retries
 			// exhausted); clear-on-read, so the client unwinds exactly once.
 			pd.reconfigFault = false
-			return StatusFaulted
+			return abi.StatusFaulted
 		}
-		return StatusOK
+		return abi.StatusOK
 	}
 	// Cross-core poll: the pipeline's state advances on the manager core's
 	// clock; sample it at the barrier and resume the poller with the
 	// answer. The one-epoch sampling lag is the conservative lookahead the
 	// engine grants every cross-core interaction.
-	var status uint32 = StatusOK
+	var status uint32 = abi.StatusOK
 	k.post(c, func() {
 		if k.Reconfig.PendingFor(pd) {
-			status = StatusReconfig
+			status = abi.StatusReconfig
 		} else if pd.reconfigFault {
 			pd.reconfigFault = false
-			status = StatusFaulted
+			status = abi.StatusFaulted
 		}
 		k.wake(pd)
 	})
@@ -352,7 +352,7 @@ func (k *Kernel) hcPortalCall(c *CoreCtx, pd *PD, sel int, word uint32) uint32 {
 	}
 	to := obj.Payload.(*PD)
 	if to == pd || to.dead {
-		return StatusInval
+		return abi.StatusInval
 	}
 	t0 := c.Clock.Now()
 	pd.ipcWord = word
@@ -376,7 +376,7 @@ func (k *Kernel) hcPortalCall(c *CoreCtx, pd *PD, sel int, word uint32) uint32 {
 		c.Clock.Advance(CostDeviceAccess)
 		k.post(c, func() {
 			if to.dead {
-				pd.ipcReply = StatusErr
+				pd.ipcReply = abi.StatusErr
 				k.wake(pd)
 				return
 			}
@@ -408,18 +408,18 @@ func (k *Kernel) hcPortalRecv(c *CoreCtx, pd *PD, mode, reply uint32) uint32 {
 	if mode&abi.RecvReply != 0 {
 		caller := pd.replyTo
 		if caller == nil {
-			return StatusInval
+			return abi.StatusInval
 		}
 		pd.replyTo = nil
 		caller.ipcReply = reply // caller is parked; the wake publishes it
 		c.kctx.Touch(caller.kdata+0x80, true)
 		k.wakeFrom(c, caller)
 	} else if pd.replyTo != nil {
-		return StatusInval
+		return abi.StatusInval
 	}
 	for len(pd.ipcCallers) == 0 {
 		if mode&abi.RecvBlock == 0 {
-			return StatusNoMsg
+			return abi.StatusNoMsg
 		}
 		pd.recvBlocked = true
 		pd.Env.block()
@@ -437,13 +437,13 @@ func (k *Kernel) hcPortalRecv(c *CoreCtx, pd *PD, mode, reply uint32) uint32 {
 // Shutdown when its callee's guest returns.
 func (k *Kernel) failPortalCallers(pd *PD) {
 	for _, caller := range pd.ipcCallers {
-		caller.ipcReply = StatusErr
+		caller.ipcReply = abi.StatusErr
 		k.wakeFrom(pd.Core, caller)
 	}
 	pd.ipcCallers = nil
 	if caller := pd.replyTo; caller != nil {
 		pd.replyTo = nil
-		caller.ipcReply = StatusErr
+		caller.ipcReply = abi.StatusErr
 		k.wakeFrom(pd.Core, caller)
 	}
 }
@@ -452,26 +452,26 @@ func (k *Kernel) failPortalCallers(pd *PD) {
 // caller's RAM (supervised shared I/O, §V-A).
 func (k *Kernel) hcSD(c *CoreCtx, pd *PD, block, ramOffset uint32, write bool) uint32 {
 	if ramOffset > pd.RAMSize || pd.RAMSize-ramOffset < 512 {
-		return StatusInval
+		return abi.StatusInval
 	}
 	pa := pd.RAMBase + physmem.Addr(ramOffset)
 	c.Clock.Advance(simclock.Cycles(512 / 4 * 2)) // DMA-ish block move
 	if write {
 		data, err := k.Bus.ReadBytes(pa, 512)
 		if err != nil {
-			return StatusErr
+			return abi.StatusErr
 		}
 		k.sd[block] = data
-		return StatusOK
+		return abi.StatusOK
 	}
 	data, ok := k.sd[block]
 	if !ok {
 		data = make([]byte, 512)
 	}
 	if err := k.Bus.WriteBytes(pa, data); err != nil {
-		return StatusErr
+		return abi.StatusErr
 	}
-	return StatusOK
+	return abi.StatusOK
 }
 
 // --- Hardware Task Manager portal bodies (§IV-E, Fig. 7) -------------
@@ -521,7 +521,7 @@ func (k *Kernel) mgrNextRequest(c *CoreCtx, pd *PD) uint32 {
 func (k *Kernel) mgrComplete(c *CoreCtx, pd *PD, reqID, status uint32) uint32 {
 	req, ok := k.hwByID[reqID]
 	if !ok {
-		return StatusInval
+		return abi.StatusInval
 	}
 	req.reply = status
 	req.replied = true
@@ -579,11 +579,11 @@ func (k *Kernel) MgrRequest(reqID uint32) (MgrRequestView, bool) {
 func (k *Kernel) mgrMapIface(c *CoreCtx, reqID uint32, prr int) uint32 {
 	req, ok := k.hwByID[reqID]
 	if !ok || k.Fabric == nil || prr >= len(k.Fabric.PRRs) {
-		return StatusInval
+		return abi.StatusInval
 	}
 	va := req.IfaceVA
 	if va == 0 || va&0xFFF != 0 {
-		return StatusInval
+		return abi.StatusInval
 	}
 	client := req.PD
 	// The client is parked in hcHwTaskRequest for the whole acquire, so
@@ -606,7 +606,7 @@ func (k *Kernel) mgrMapIface(c *CoreCtx, reqID uint32, prr int) uint32 {
 		client.ifaceVA = map[int]uint32{}
 	}
 	client.ifaceVA[prr] = va
-	return StatusOK
+	return abi.StatusOK
 }
 
 // mgrUnmapIface revokes a client's interface mapping and performs the
@@ -617,11 +617,11 @@ func (k *Kernel) mgrMapIface(c *CoreCtx, reqID uint32, prr int) uint32 {
 // capabilities, not raw IDs).
 func (k *Kernel) mgrUnmapIface(c *CoreCtx, mgr, client *PD, prr int) uint32 {
 	if k.Fabric == nil {
-		return StatusInval
+		return abi.StatusInval
 	}
 	va, ok := client.ifaceVA[prr]
 	if !ok || va == 0 {
-		return StatusInval
+		return abi.StatusInval
 	}
 	if len(k.Cores) == 1 {
 		// Save the register group into the reserved structure at the head of
@@ -630,7 +630,7 @@ func (k *Kernel) mgrUnmapIface(c *CoreCtx, mgr, client *PD, prr int) uint32 {
 		if client.DataSectionSize >= 64 {
 			regs := k.Fabric.SaveRegGroup(prr)
 			base := client.DataSectionPA
-			_ = k.Bus.Write32(base, DataSectFlagInconsistent)
+			_ = k.Bus.Write32(base, abi.DataSectFlagInconsistent)
 			for i, r := range regs {
 				_ = k.Bus.Write32(base+physmem.Addr(4+i*4), r)
 			}
@@ -650,7 +650,7 @@ func (k *Kernel) mgrUnmapIface(c *CoreCtx, mgr, client *PD, prr int) uint32 {
 			k.Fabric.ReleaseIRQ(prr)
 			k.Clock.Advance(CostDeviceAccess)
 		}
-		return StatusOK
+		return abi.StatusOK
 	}
 
 	// Multi-core reclaim: the victim may be live on another core, so every
@@ -672,7 +672,7 @@ func (k *Kernel) mgrUnmapIface(c *CoreCtx, mgr, client *PD, prr int) uint32 {
 		if client.DataSectionSize >= 64 {
 			regs := k.Fabric.SaveRegGroup(prr)
 			base := client.DataSectionPA
-			_ = k.Bus.Write32(base, DataSectFlagInconsistent)
+			_ = k.Bus.Write32(base, abi.DataSectFlagInconsistent)
 			for i, r := range regs {
 				_ = k.Bus.Write32(base+physmem.Addr(4+i*4), r)
 			}
@@ -690,7 +690,7 @@ func (k *Kernel) mgrUnmapIface(c *CoreCtx, mgr, client *PD, prr int) uint32 {
 		k.wake(mgr)
 	})
 	mgr.Env.block()
-	return StatusOK
+	return abi.StatusOK
 }
 
 // mgrHwMMULoad points PRR prr's DMA window at the client's data section —
@@ -699,11 +699,11 @@ func (k *Kernel) mgrUnmapIface(c *CoreCtx, mgr, client *PD, prr int) uint32 {
 // can only target a section the client itself declared.
 func (k *Kernel) mgrHwMMULoad(c *CoreCtx, client *PD, prr int) uint32 {
 	if k.Fabric == nil {
-		return StatusInval
+		return abi.StatusInval
 	}
 	obj, err := client.Space.Lookup(SelDataSect, capspace.ObjMemRegion, capspace.RightCall)
 	if err != capspace.OK {
-		return StatusInval // client registered no (live) data section
+		return abi.StatusInval // client registered no (live) data section
 	}
 	w := obj.Payload.(regionWindow)
 	k.Fabric.HwMMU.Load(prr, pl.Window{Base: w.Base, Size: w.Size, Valid: true})
@@ -711,8 +711,8 @@ func (k *Kernel) mgrHwMMULoad(c *CoreCtx, client *PD, prr int) uint32 {
 	// Run/completion events of this region now ride the owner's core clock.
 	k.Fabric.BindClock(prr, client.Core.Clock)
 	// Reset the consistency flag for the new owner.
-	_ = k.Bus.Write32(w.Base, DataSectFlagOwned)
-	return StatusOK
+	_ = k.Bus.Write32(w.Base, abi.DataSectFlagOwned)
+	return abi.StatusOK
 }
 
 // mgrPCAPStart launches a bitstream download — stage (5) of Fig. 7 —
@@ -727,16 +727,16 @@ func (k *Kernel) mgrHwMMULoad(c *CoreCtx, client *PD, prr int) uint32 {
 func (k *Kernel) mgrPCAPStart(c *CoreCtx, reqID, srcOff, length uint32, prr int, store regionWindow) uint32 {
 	req, ok := k.hwByID[reqID]
 	if !ok || k.Fabric == nil || k.Reconfig == nil {
-		return StatusInval
+		return abi.StatusInval
 	}
 	// Overflow-safe store-bounds check against the region capability:
 	// srcOff+length could wrap uint32.
 	if srcOff > store.Size || length > store.Size-srcOff {
-		return StatusInval
+		return abi.StatusInval
 	}
 	pd := req.PD
 	// Charge the client's breaker for the launch (weight 1; a failure
-	// below adds FaultWeight). The client is parked in hcHwTaskRequest
+	// below adds qosFaultWeight). The client is parked in hcHwTaskRequest
 	// for the whole acquire, so its guard state is quiescent and may be
 	// charged from the manager's core.
 	if pd.breaker.Charge(c.Clock.Now(), 1) && k.Tracer != nil {
@@ -787,7 +787,7 @@ func (k *Kernel) mgrPCAPStart(c *CoreCtx, reqID, srcOff, length uint32, prr int,
 			fail := func() {
 				pd.reconfigFault = true
 				now := mc.Clock.Now()
-				if pd.breaker.Charge(now, k.qos.FaultWeight) && k.Tracer != nil {
+				if pd.breaker.Charge(now, qosFaultWeight) && k.Tracer != nil {
 					k.Tracer.Core(mc.ID).Emit(now, trace.KindBreakerTrip,
 						r.Flow, uint64(pd.ID), pd.breaker.Trips)
 				}
@@ -800,7 +800,7 @@ func (k *Kernel) mgrPCAPStart(c *CoreCtx, reqID, srcOff, length uint32, prr int,
 		},
 	})
 	c.Clock.Advance(2 * CostDeviceAccess) // portal bookkeeping
-	return StatusOK
+	return abi.StatusOK
 }
 
 // mgrAllocIRQ allocates a PL interrupt line for PRR prr and registers it,
@@ -808,7 +808,7 @@ func (k *Kernel) mgrPCAPStart(c *CoreCtx, reqID, srcOff, length uint32, prr int,
 func (k *Kernel) mgrAllocIRQ(c *CoreCtx, reqID uint32, prr int) uint32 {
 	req, ok := k.hwByID[reqID]
 	if !ok || k.Fabric == nil {
-		return StatusInval
+		return abi.StatusInval
 	}
 	target := req.PD
 	// install re-points line ownership into the new owner's vGIC. On a
@@ -837,7 +837,7 @@ func (k *Kernel) mgrAllocIRQ(c *CoreCtx, reqID uint32, prr int) uint32 {
 	}
 	irq, err := k.Fabric.AllocateIRQ(prr)
 	if err != nil {
-		return StatusErr
+		return abi.StatusErr
 	}
 	line := irq - gic.PLIRQBase
 	if len(k.Cores) == 1 {
@@ -850,10 +850,3 @@ func (k *Kernel) mgrAllocIRQ(c *CoreCtx, reqID uint32, prr int) uint32 {
 	c.Clock.Advance(2 * CostDeviceAccess)
 	return uint32(irq)
 }
-
-// Data-section reserved-structure flags (§IV-C), shared with the guest
-// side through the ABI package.
-const (
-	DataSectFlagOwned        = abi.DataSectFlagOwned
-	DataSectFlagInconsistent = abi.DataSectFlagInconsistent
-)

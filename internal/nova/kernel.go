@@ -267,10 +267,10 @@ func NewKernelSMP(ncores int) *Kernel {
 
 // AttachFabric connects the programmable-logic model (built by the caller
 // so its PRR capacities are scenario-specific) and stands up the managed
-// reconfiguration pipeline over its PCAP.
-func (k *Kernel) AttachFabric(f *pl.Fabric) {
+// reconfiguration pipeline over its PCAP, configured by cfg.
+func (k *Kernel) AttachFabric(f *pl.Fabric, cfg reconfig.Config) {
 	k.Fabric = f
-	k.Reconfig = reconfig.New(k.Clock, f, k.Bus, BitstreamStorePA(), reconfig.DefaultConfig())
+	k.Reconfig = reconfig.New(k.Clock, f, k.Bus, BitstreamStorePA(), cfg)
 	k.Reconfig.Probes = k.Probes
 	if k.Tracer != nil {
 		k.Reconfig.Trace = k.Tracer.Core(k.reconfigCore().ID)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/bitstream"
 	"repro/internal/gic"
 	"repro/internal/pl"
+	"repro/internal/reconfig"
 	"repro/internal/sched"
 	"repro/internal/simclock"
 )
@@ -36,9 +37,9 @@ func TestGuestRunsAndHypercalls(t *testing.T) {
 	var vmid uint32 = 99
 	k.CreatePD(PDConfig{Name: "g0", Priority: PrioGuest, Guest: &scriptGuest{"g0", func(env *Env) {
 		env.Ctx.Exec(50)
-		vmid = env.Hypercall(HcVMID)
+		vmid = env.Hypercall(abi.HcVMID)
 		for _, ch := range "hi" {
-			env.Hypercall(HcPrint, uint32(ch))
+			env.Hypercall(abi.HcPrint, uint32(ch))
 		}
 	}}})
 	k.RunFor(simclock.FromMillis(1))
@@ -94,7 +95,7 @@ func TestPriorityPreemption(t *testing.T) {
 		Guest: &scriptGuest{"svc", func(env *Env) {
 			events = append(events, "svc-ran")
 			env.Ctx.Exec(100)
-			env.Hypercall(HcSuspend)
+			env.Hypercall(abi.HcSuspend)
 			events = append(events, "svc-again")
 		}}})
 	// Let the low guest run a bit, then wake the service via a timer event.
@@ -134,7 +135,7 @@ func TestQuantumCarryOver(t *testing.T) {
 		Guest: &scriptGuest{"svc", func(env *Env) {
 			for {
 				env.Ctx.Exec(500)
-				env.Hypercall(HcSuspend)
+				env.Hypercall(abi.HcSuspend)
 			}
 		}}})
 	// Interrupt the guest twice mid-quantum.
@@ -162,11 +163,11 @@ func TestVirtualTimerInjection(t *testing.T) {
 			if irq == gic.PrivateTimerIRQ {
 				ticks++
 				env.Ctx.Exec(30)
-				env.Hypercall(HcIRQEOI, uint32(irq))
+				env.Hypercall(abi.HcIRQEOI, uint32(irq))
 			}
 		}
-		env.Hypercall(HcIRQEnable, gic.PrivateTimerIRQ)
-		env.Hypercall(HcTimerSet, uint32(simclock.FromMillis(1)))
+		env.Hypercall(abi.HcIRQEnable, gic.PrivateTimerIRQ)
+		env.Hypercall(abi.HcTimerSet, uint32(simclock.FromMillis(1)))
 		for {
 			env.Ctx.Exec(100)
 			env.CheckPreempt()
@@ -187,10 +188,10 @@ func TestVirtualTimerPausedVMStaysPending(t *testing.T) {
 	k.CreatePD(PDConfig{Name: "g", Priority: PrioGuest, Guest: &scriptGuest{"g", func(env *Env) {
 		env.PD.VGIC.Entry = func(irq int) {
 			ticks++
-			env.Hypercall(HcIRQEOI, uint32(irq))
+			env.Hypercall(abi.HcIRQEOI, uint32(irq))
 		}
-		env.Hypercall(HcIRQEnable, gic.PrivateTimerIRQ)
-		env.Hypercall(HcTimerSet, uint32(simclock.FromMillis(1)))
+		env.Hypercall(abi.HcIRQEnable, gic.PrivateTimerIRQ)
+		env.Hypercall(abi.HcTimerSet, uint32(simclock.FromMillis(1)))
 		for {
 			env.Ctx.Exec(100)
 			env.CheckPreempt()
@@ -203,7 +204,7 @@ func TestVirtualTimerPausedVMStaysPending(t *testing.T) {
 			for env.Now() < end {
 				env.Ctx.Exec(200)
 			}
-			env.Hypercall(HcSuspend)
+			env.Hypercall(abi.HcSuspend)
 		}}})
 	k.Clock.After(simclock.FromMillis(2), func(simclock.Cycles) { k.wake(hog) })
 	k.RunFor(simclock.FromMillis(10))
@@ -253,11 +254,11 @@ func TestDACRSwitchProtectsGuestKernel(t *testing.T) {
 		env.Ctx.Touch(GuestKernelBase, true)
 		faultsAtKernel = env.PD.Faults
 		// Switch to guest-user context: GK pages must domain-fault.
-		env.Hypercall(HcDACRSwitch, 0)
+		env.Hypercall(abi.HcDACRSwitch, 0)
 		env.Ctx.Touch(GuestKernelBase, false)
 		faultsAtUser = env.PD.Faults
 		// And back.
-		env.Hypercall(HcDACRSwitch, 1)
+		env.Hypercall(abi.HcDACRSwitch, 1)
 		env.Ctx.Stalled = false
 		env.Ctx.Touch(GuestKernelBase+64, true)
 	}}})
@@ -281,13 +282,13 @@ func TestIPCRoundTrip(t *testing.T) {
 	defer k.Shutdown()
 	var got, reply uint32
 	server := k.CreatePD(PDConfig{Name: "server", Priority: PrioGuest, Guest: &scriptGuest{"server", func(env *Env) {
-		got = env.Hypercall(HcPortalRecv, abi.RecvBlock)
-		env.Hypercall(HcPortalRecv, abi.RecvReply, 0x51) // reply, poll once
+		got = env.Hypercall(abi.HcPortalRecv, abi.RecvBlock)
+		env.Hypercall(abi.HcPortalRecv, abi.RecvReply, 0x51) // reply, poll once
 	}}})
 	var sel uint32
 	client := k.CreatePD(PDConfig{Name: "client", Priority: PrioGuest, Guest: &scriptGuest{"client", func(env *Env) {
 		env.Ctx.Exec(100)
-		reply = env.Hypercall(HcPortalCall, sel, 0xABCDE)
+		reply = env.Hypercall(abi.HcPortalCall, sel, 0xABCDE)
 	}}})
 	s, err := k.DelegateIPC(server, client)
 	if err != nil {
@@ -314,10 +315,10 @@ func TestIPCNonBlockingEmpty(t *testing.T) {
 	defer k.Shutdown()
 	var got uint32
 	k.CreatePD(PDConfig{Name: "g", Priority: PrioGuest, Guest: &scriptGuest{"g", func(env *Env) {
-		got = env.Hypercall(HcPortalRecv, 0)
+		got = env.Hypercall(abi.HcPortalRecv, 0)
 	}}})
 	k.RunFor(simclock.FromMillis(1))
-	if got != StatusNoMsg {
+	if got != abi.StatusNoMsg {
 		t.Errorf("empty non-blocking recv = %#x, want StatusNoMsg", got)
 	}
 }
@@ -352,7 +353,7 @@ func TestSDSupervisedIO(t *testing.T) {
 	var status uint32
 	var data uint32
 	k.CreatePD(PDConfig{Name: "g", Priority: PrioGuest, Guest: &scriptGuest{"g", func(env *Env) {
-		status = env.Hypercall(HcSDRead, 7, 0x2000) // into RAM offset 0x2000
+		status = env.Hypercall(abi.HcSDRead, 7, 0x2000) // into RAM offset 0x2000
 		v, _ := env.Ctx.Load32(GuestUserBase + (0x2000 - 0x10_0000) + 0x10_0000)
 		_ = v
 		// Read back through the guest's own mapping: RAM offset 0x2000 is
@@ -360,7 +361,7 @@ func TestSDSupervisedIO(t *testing.T) {
 		data, _ = env.Ctx.Load32(GuestKernelBase + 0x2000)
 	}}})
 	k.RunFor(simclock.FromMillis(1))
-	if status != StatusOK {
+	if status != abi.StatusOK {
 		t.Fatalf("HcSDRead = %d", status)
 	}
 	if data != 0x746f6f62 { // "boot" little-endian
@@ -377,12 +378,12 @@ func TestSDRejectsWrappingOffset(t *testing.T) {
 	img := make([]byte, 512)
 	copy(img, "bootdata")
 	k.SDWriteImage(7, img)
-	status := uint32(StatusOK)
+	status := uint32(abi.StatusOK)
 	pd := k.CreatePD(PDConfig{Name: "g", Priority: PrioGuest, Guest: &scriptGuest{"g", func(env *Env) {
-		status = env.Hypercall(HcSDRead, 7, 0xFFFF_FF00)
+		status = env.Hypercall(abi.HcSDRead, 7, 0xFFFF_FF00)
 	}}})
 	k.RunFor(simclock.FromMillis(1))
-	if status != StatusInval {
+	if status != abi.StatusInval {
 		t.Fatalf("HcSDRead at a wrapping RAM offset = %d, want StatusInval", status)
 	}
 	below, err := k.Bus.ReadBytes(pd.RAMBase-0x100, 8)
@@ -399,17 +400,17 @@ func TestSDRejectsWrappingOffset(t *testing.T) {
 func TestRegionCreateRejectsKernelMemory(t *testing.T) {
 	k := NewKernel()
 	defer k.Shutdown()
-	kernelStatus, ramStatus := uint32(StatusOK), uint32(StatusErr)
+	kernelStatus, ramStatus := uint32(abi.StatusOK), uint32(abi.StatusErr)
 	pd := k.CreatePD(PDConfig{Name: "g", Priority: PrioGuest, Guest: &scriptGuest{"g", func(env *Env) {
-		kernelStatus = env.Hypercall(HcRegionCreate, KernelDataVA, 0x1000)
-		env.Hypercall(HcMapPage, GuestDataSect, 0x20_0000)
-		ramStatus = env.Hypercall(HcRegionCreate, GuestDataSect, 0x1000)
+		kernelStatus = env.Hypercall(abi.HcRegionCreate, KernelDataVA, 0x1000)
+		env.Hypercall(abi.HcMapPage, GuestDataSect, 0x20_0000)
+		ramStatus = env.Hypercall(abi.HcRegionCreate, GuestDataSect, 0x1000)
 	}}})
 	k.RunFor(simclock.FromMillis(1))
-	if kernelStatus != StatusInval {
+	if kernelStatus != abi.StatusInval {
 		t.Errorf("HcRegionCreate over kernel data = %d, want StatusInval", kernelStatus)
 	}
-	if ramStatus != StatusOK {
+	if ramStatus != abi.StatusOK {
 		t.Fatalf("HcRegionCreate over guest RAM = %d, want StatusOK", ramStatus)
 	}
 	if want := pd.RAMBase + 0x20_0000; pd.DataSectionPA != want {
@@ -500,7 +501,7 @@ func fabricForTest(k *Kernel) *pl.Fabric {
 		{LUTs: 2000, BRAM: 4, DSP: 8},
 	}
 	f := pl.NewFabric(k.Clock, k.Bus, k.GIC, caps)
-	k.AttachFabric(f)
+	k.AttachFabric(f, reconfig.DefaultConfig())
 	return f
 }
 
@@ -510,15 +511,15 @@ func TestHwRequestRequiresDataSection(t *testing.T) {
 	fabricForTest(k)
 	svc := k.CreatePD(PDConfig{Name: "hwtm", Priority: PrioService, Caps: CapHwManager,
 		StartSuspended: true, Guest: &scriptGuest{"hwtm", func(env *Env) {
-			env.Hypercall(HcMgrNextRequest) // never reached in this test
+			env.Hypercall(abi.HcMgrNextRequest) // never reached in this test
 		}}})
 	k.RegisterHwService(svc)
 	var got uint32
 	k.CreatePD(PDConfig{Name: "g", Priority: PrioGuest, Guest: &scriptGuest{"g", func(env *Env) {
-		got = env.Hypercall(HcHwTaskRequest, 1, GuestIfaceBase, GuestDataSect)
+		got = env.Hypercall(abi.HcHwTaskRequest, 1, GuestIfaceBase, GuestDataSect)
 	}}})
 	k.RunFor(simclock.FromMillis(1))
-	if got != StatusInval {
+	if got != abi.StatusInval {
 		t.Errorf("request without data section = %d, want StatusInval", got)
 	}
 }
@@ -531,10 +532,10 @@ func TestManagerPortalUnreachableWithoutDelegation(t *testing.T) {
 	defer k.Shutdown()
 	var got uint32
 	k.CreatePD(PDConfig{Name: "g", Priority: PrioGuest, Guest: &scriptGuest{"g", func(env *Env) {
-		got = env.Hypercall(HcMgrHwMMULoad, 0, 0)
+		got = env.Hypercall(abi.HcMgrHwMMULoad, 0, 0)
 	}}})
 	k.RunFor(simclock.FromMillis(1))
-	if got != StatusBadSel {
+	if got != abi.StatusBadSel {
 		t.Errorf("portal without delegation = %d, want StatusBadSel", got)
 	}
 }
@@ -548,7 +549,7 @@ func TestHwRequestFullPathWithFakeManager(t *testing.T) {
 
 	svc := k.CreatePD(PDConfig{Name: "hwtm", Priority: PrioService, Caps: CapHwManager,
 		StartSuspended: true, Guest: &scriptGuest{"hwtm", func(env *Env) {
-			reqID := env.Hypercall(HcMgrNextRequest)
+			reqID := env.Hypercall(abi.HcMgrNextRequest)
 			for {
 				view, ok := k.MgrRequest(reqID)
 				if !ok {
@@ -556,10 +557,10 @@ func TestHwRequestFullPathWithFakeManager(t *testing.T) {
 					return
 				}
 				env.Ctx.Exec(500) // allocation bookkeeping
-				env.Hypercall(HcMgrMapIface, reqID, 0)
-				env.Hypercall(HcMgrHwMMULoad, uint32(view.ClientID), 0)
-				env.Hypercall(HcMgrAllocIRQ, reqID, 0)
-				reqID = env.Hypercall(HcMgrComplete, reqID, StatusOK)
+				env.Hypercall(abi.HcMgrMapIface, reqID, 0)
+				env.Hypercall(abi.HcMgrHwMMULoad, uint32(view.ClientID), 0)
+				env.Hypercall(abi.HcMgrAllocIRQ, reqID, 0)
+				reqID = env.Hypercall(abi.HcMgrComplete, reqID, abi.StatusOK)
 			}
 		}}})
 	k.RegisterHwService(svc)
@@ -576,15 +577,15 @@ func TestHwRequestFullPathWithFakeManager(t *testing.T) {
 	k.CreatePD(PDConfig{Name: "g", Priority: PrioGuest, Guest: &scriptGuest{"g", func(env *Env) {
 		env.PD.VGIC.Entry = func(irq int) {
 			plIRQ = uint32(irq)
-			env.Hypercall(HcIRQEOI, uint32(irq))
+			env.Hypercall(abi.HcIRQEOI, uint32(irq))
 		}
 		// Build a data section: map 16 pages at the conventional VA.
 		for i := uint32(0); i < 16; i++ {
-			env.Hypercall(HcMapPage, GuestDataSect+i*0x1000, 0x20_0000+i*0x1000)
+			env.Hypercall(abi.HcMapPage, GuestDataSect+i*0x1000, 0x20_0000+i*0x1000)
 		}
-		env.Hypercall(HcRegionCreate, GuestDataSect, 16*0x1000)
-		reqStatus = env.Hypercall(HcHwTaskRequest, 1, GuestIfaceBase, GuestDataSect)
-		if reqStatus != StatusOK {
+		env.Hypercall(abi.HcRegionCreate, GuestDataSect, 16*0x1000)
+		reqStatus = env.Hypercall(abi.HcHwTaskRequest, 1, GuestIfaceBase, GuestDataSect)
+		if reqStatus != abi.StatusOK {
 			return
 		}
 		// Program the task through the freshly mapped interface page.
@@ -599,7 +600,7 @@ func TestHwRequestFullPathWithFakeManager(t *testing.T) {
 		done = true
 	}}})
 	k.RunFor(simclock.FromMillis(5))
-	if reqStatus != StatusOK {
+	if reqStatus != abi.StatusOK {
 		t.Fatalf("hw task request status = %d, want OK", reqStatus)
 	}
 	if !done {
@@ -633,8 +634,8 @@ func (loopbackCore) Process(in []byte, _ uint32) ([]byte, error) {
 }
 
 func TestHypercallCountMatchesPaper(t *testing.T) {
-	if NumHypercalls != 25 {
-		t.Errorf("NumHypercalls = %d, paper says 25", NumHypercalls)
+	if abi.NumHypercalls != 25 {
+		t.Errorf("NumHypercalls = %d, paper says 25", abi.NumHypercalls)
 	}
 }
 

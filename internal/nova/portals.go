@@ -72,15 +72,15 @@ type portalDesc struct {
 func capStatus(e capspace.Err) uint32 {
 	switch e {
 	case capspace.ErrBadSel:
-		return StatusBadSel
+		return abi.StatusBadSel
 	case capspace.ErrRevoked:
-		return StatusRevoked
+		return abi.StatusRevoked
 	case capspace.ErrBadType:
-		return StatusBadType
+		return abi.StatusBadType
 	case capspace.ErrDenied:
-		return StatusDenied
+		return abi.StatusDenied
 	}
-	return StatusErr
+	return abi.StatusErr
 }
 
 // newPortal mints one service-portal object.
@@ -95,39 +95,39 @@ func newPortal(name string, cost int, fn portalFn) *capspace.Object {
 func (k *Kernel) buildPortalObjects() {
 	p := make([]*capspace.Object, abi.NumPortalSelectors)
 
-	p[HcNull] = newPortal("null", 18, portalNull)
-	p[HcPrint] = newPortal("print", 30, portalPrint)
-	p[HcVMID] = newPortal("vmid", 20, portalVMID)
-	p[HcYield] = newPortal("yield", 28, portalYield)
-	p[HcTimerSet] = newPortal("timer_set", 55, portalTimerSet)
-	p[HcTimerCancel] = newPortal("timer_cancel", 35, portalTimerCancel)
-	p[HcIRQEnable] = newPortal("irq_enable", 45, portalIRQEnable)
-	p[HcIRQDisable] = newPortal("irq_disable", 45, portalIRQDisable)
-	p[HcIRQEOI] = newPortal("irq_eoi", 32, portalIRQEOI)
-	p[HcCacheFlush] = newPortal("cache_flush", 60, portalCacheFlush)
-	p[HcTLBFlush] = newPortal("tlb_flush", 40, portalTLBFlush)
-	p[HcMapPage] = newPortal("map_page", 90, portalMapPage)
-	p[HcUnmapPage] = newPortal("unmap_page", 80, portalUnmapPage)
-	p[HcRegionCreate] = newPortal("region_create", 85, portalRegionCreate)
-	p[HcDACRSwitch] = newPortal("dacr_switch", 30, portalDACRSwitch)
-	p[HcHwTaskRequest] = newPortal("hwtask_request", 95, portalHwTaskRequest)
-	p[HcHwTaskRelease] = newPortal("hwtask_release", 70, portalHwTaskRelease)
-	p[HcHwTaskStatus] = newPortal("hwtask_status", 40, portalHwTaskStatus)
-	p[HcPortalCall] = newPortal("portal_call", 70, portalIPCCall)
-	p[HcPortalRecv] = newPortal("portal_recv", 60, portalIPCRecv)
-	p[HcUARTWrite] = newPortal("uart_write", 35, portalUARTWrite)
-	p[HcUARTRead] = newPortal("uart_read", 35, portalUARTRead)
-	p[HcSDRead] = newPortal("sd_read", 120, portalSDRead)
-	p[HcSDWrite] = newPortal("sd_write", 120, portalSDWrite)
-	p[HcSuspend] = newPortal("suspend", 40, portalSuspend)
+	p[abi.HcNull] = newPortal("null", 18, portalNull)
+	p[abi.HcPrint] = newPortal("print", 30, portalPrint)
+	p[abi.HcVMID] = newPortal("vmid", 20, portalVMID)
+	p[abi.HcYield] = newPortal("yield", 28, portalYield)
+	p[abi.HcTimerSet] = newPortal("timer_set", 55, portalTimerSet)
+	p[abi.HcTimerCancel] = newPortal("timer_cancel", 35, portalTimerCancel)
+	p[abi.HcIRQEnable] = newPortal("irq_enable", 45, portalIRQEnable)
+	p[abi.HcIRQDisable] = newPortal("irq_disable", 45, portalIRQDisable)
+	p[abi.HcIRQEOI] = newPortal("irq_eoi", 32, portalIRQEOI)
+	p[abi.HcCacheFlush] = newPortal("cache_flush", 60, portalCacheFlush)
+	p[abi.HcTLBFlush] = newPortal("tlb_flush", 40, portalTLBFlush)
+	p[abi.HcMapPage] = newPortal("map_page", 90, portalMapPage)
+	p[abi.HcUnmapPage] = newPortal("unmap_page", 80, portalUnmapPage)
+	p[abi.HcRegionCreate] = newPortal("region_create", 85, portalRegionCreate)
+	p[abi.HcDACRSwitch] = newPortal("dacr_switch", 30, portalDACRSwitch)
+	p[abi.HcHwTaskRequest] = newPortal("hwtask_request", 95, portalHwTaskRequest)
+	p[abi.HcHwTaskRelease] = newPortal("hwtask_release", 70, portalHwTaskRelease)
+	p[abi.HcHwTaskStatus] = newPortal("hwtask_status", 40, portalHwTaskStatus)
+	p[abi.HcPortalCall] = newPortal("portal_call", 70, portalIPCCall)
+	p[abi.HcPortalRecv] = newPortal("portal_recv", 60, portalIPCRecv)
+	p[abi.HcUARTWrite] = newPortal("uart_write", 35, portalUARTWrite)
+	p[abi.HcUARTRead] = newPortal("uart_read", 35, portalUARTRead)
+	p[abi.HcSDRead] = newPortal("sd_read", 120, portalSDRead)
+	p[abi.HcSDWrite] = newPortal("sd_write", 120, portalSDWrite)
+	p[abi.HcSuspend] = newPortal("suspend", 40, portalSuspend)
 
-	p[HcMgrNextRequest] = newPortal("mgr_next_request", 50, portalMgrNextRequest)
-	p[HcMgrMapIface] = newPortal("mgr_map_iface", 110, portalMgrMapIface)
-	p[HcMgrUnmapIface] = newPortal("mgr_unmap_iface", 70, portalMgrUnmapIface)
-	p[HcMgrHwMMULoad] = newPortal("mgr_hwmmu_load", 45, portalMgrHwMMULoad)
-	p[HcMgrPCAPStart] = newPortal("mgr_pcap_start", 85, portalMgrPCAPStart)
-	p[HcMgrComplete] = newPortal("mgr_complete", 60, portalMgrComplete)
-	p[HcMgrAllocIRQ] = newPortal("mgr_alloc_irq", 75, portalMgrAllocIRQ)
+	p[abi.HcMgrNextRequest] = newPortal("mgr_next_request", 50, portalMgrNextRequest)
+	p[abi.HcMgrMapIface] = newPortal("mgr_map_iface", 110, portalMgrMapIface)
+	p[abi.HcMgrUnmapIface] = newPortal("mgr_unmap_iface", 70, portalMgrUnmapIface)
+	p[abi.HcMgrHwMMULoad] = newPortal("mgr_hwmmu_load", 45, portalMgrHwMMULoad)
+	p[abi.HcMgrPCAPStart] = newPortal("mgr_pcap_start", 85, portalMgrPCAPStart)
+	p[abi.HcMgrComplete] = newPortal("mgr_complete", 60, portalMgrComplete)
+	p[abi.HcMgrAllocIRQ] = newPortal("mgr_alloc_irq", 75, portalMgrAllocIRQ)
 
 	k.portalObjs = p
 }
@@ -136,9 +136,9 @@ func (k *Kernel) buildPortalObjects() {
 // service portals (call-only — guests cannot delegate kernel portals),
 // the PD's own object (full rights), and whatever the boot grants name.
 func (k *Kernel) populateCaps(pd *PD, grants Capability) {
-	for sel := 0; sel < NumHypercalls; sel++ {
+	for sel := 0; sel < abi.NumHypercalls; sel++ {
 		r := capspace.RightCall
-		if sel == HcSDWrite && grants&CapIODirect == 0 {
+		if sel == abi.HcSDWrite && grants&CapIODirect == 0 {
 			// The portal is present in every table, but without the I/O
 			// grant the capability carries no rights: invoking it is a
 			// rights failure (Denied), not an unknown selector.
@@ -147,7 +147,7 @@ func (k *Kernel) populateCaps(pd *PD, grants Capability) {
 		pd.Space.Insert(sel, k.portalObjs[sel], r)
 	}
 	if grants&CapHwManager != 0 {
-		for sel := NumHypercalls; sel < abi.NumPortalSelectors; sel++ {
+		for sel := abi.NumHypercalls; sel < abi.NumPortalSelectors; sel++ {
 			pd.Space.Insert(sel, k.portalObjs[sel], capspace.RightCall)
 		}
 	}
@@ -206,12 +206,12 @@ func (k *Kernel) writeConsole(c *CoreCtx, b byte) {
 // --- Guest service portals (the paper's 25 hypercalls) ---------------
 
 func portalNull(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
-	return StatusOK
+	return abi.StatusOK
 }
 
 func portalPrint(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 	k.writeConsole(c, byte(args[0]))
-	return StatusOK
+	return abi.StatusOK
 }
 
 // portalVMID resolves the caller's own PD object — the identity read is
@@ -222,7 +222,7 @@ func portalPrint(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 func portalVMID(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 	obj, err := pd.Space.Lookup(SelSelf, capspace.ObjPD, capspace.RightCall)
 	if err != capspace.OK {
-		return StatusErr
+		return abi.StatusErr
 	}
 	return uint32(obj.Payload.(*PD).ID)
 }
@@ -230,7 +230,7 @@ func portalVMID(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 func portalYield(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 	c.quantumExpired = true
 	c.needResched = true
-	return StatusOK
+	return abi.StatusOK
 }
 
 func portalTimerSet(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
@@ -241,7 +241,7 @@ func portalTimerCancel(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 	k.parkVirtualTimer(pd)
 	pd.VCPU.TimerPeriod = 0
 	pd.timerRemaining = 0
-	return StatusOK
+	return abi.StatusOK
 }
 
 func portalIRQEnable(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
@@ -250,42 +250,42 @@ func portalIRQEnable(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 		pd.VGIC.Register(irq) // virtual timer PPI: self-service
 	}
 	if !pd.VGIC.Enable(irq) {
-		return StatusDenied
+		return abi.StatusDenied
 	}
 	if physicalLine(irq) && pd == c.Current {
 		k.GIC.Enable(irq)
 		c.Clock.Advance(CostDeviceAccess)
 	}
-	return StatusOK
+	return abi.StatusOK
 }
 
 func portalIRQDisable(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 	irq := int(args[0])
 	if !pd.VGIC.Disable(irq) {
-		return StatusDenied
+		return abi.StatusDenied
 	}
 	if physicalLine(irq) {
 		k.GIC.Disable(irq)
 		c.Clock.Advance(CostDeviceAccess)
 	}
-	return StatusOK
+	return abi.StatusOK
 }
 
 func portalIRQEOI(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 	if !pd.VGIC.EOI(int(args[0])) {
-		return StatusInval
+		return abi.StatusInval
 	}
-	return StatusOK
+	return abi.StatusOK
 }
 
 func portalCacheFlush(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 	c.CPU.CP15Write(cpu.CP15DCCISW, 0)
-	return StatusOK
+	return abi.StatusOK
 }
 
 func portalTLBFlush(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 	c.CPU.CP15Write(cpu.CP15TLBIASID, uint32(pd.ASID))
-	return StatusOK
+	return abi.StatusOK
 }
 
 func portalMapPage(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
@@ -305,7 +305,7 @@ func portalDACRSwitch(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 	d := dacrFor(guestKernelCtx)
 	pd.VCPU.DACR = d
 	c.CPU.CP15Write(cpu.CP15DACR, d)
-	return StatusOK
+	return abi.StatusOK
 }
 
 func portalHwTaskRequest(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
@@ -330,7 +330,7 @@ func portalIPCRecv(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 
 func portalUARTWrite(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 	k.writeConsole(c, byte(args[0]))
-	return StatusOK
+	return abi.StatusOK
 }
 
 func portalUARTRead(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
@@ -355,15 +355,15 @@ func portalSuspend(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 		// injected (the guest's WFI). A pending injection returns
 		// immediately.
 		if pd.VGIC.HasPending() {
-			return StatusOK
+			return abi.StatusOK
 		}
 		pd.idleWaiting = true
 		pd.Env.block()
 		pd.idleWaiting = false
-		return StatusOK
+		return abi.StatusOK
 	}
 	pd.Env.block()
-	return StatusOK
+	return abi.StatusOK
 }
 
 // --- Hardware Task Manager portals (§IV-E, Fig. 7) -------------------
@@ -393,24 +393,24 @@ func portalMgrComplete(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {
 // slot object.
 func slotCap(pd *PD, prr int) (uint32, bool) {
 	if prr < 0 {
-		return StatusBadSel, false
+		return abi.StatusBadSel, false
 	}
 	if _, err := pd.Space.Lookup(SelMgrSlotBase+prr, capspace.ObjHwSlot, capspace.RightCall); err != capspace.OK {
 		return capStatus(err), false
 	}
-	return StatusOK, true
+	return abi.StatusOK, true
 }
 
 // clientCap resolves the caller's capability to client PD pdID.
 func clientCap(pd *PD, pdID int) (*PD, uint32, bool) {
 	if pdID < 0 {
-		return nil, StatusBadSel, false
+		return nil, abi.StatusBadSel, false
 	}
 	obj, err := pd.Space.Lookup(SelMgrClientBase+pdID, capspace.ObjPD, capspace.RightCall)
 	if err != capspace.OK {
 		return nil, capStatus(err), false
 	}
-	return obj.Payload.(*PD), StatusOK, true
+	return obj.Payload.(*PD), abi.StatusOK, true
 }
 
 func portalMgrMapIface(k *Kernel, c *CoreCtx, pd *PD, args [4]uint32) uint32 {

@@ -11,10 +11,10 @@ package nova
 //     answers StatusThrottled and the request never enters the queue;
 //   - a circuit breaker scores each client's reconfiguration pressure
 //     (every launched download charges it, a *failed* one charges it
-//     FaultWeight-fold); past TripAt the breaker opens for Cooldown
+//     qosFaultWeight-fold); past TripAt the breaker opens for Cooldown
 //     cycles and the portal answers StatusRetry.
 //
-// Clients at or above CriticalPriority bypass both guards — the §III-D
+// Clients at PrioService or above bypass both guards — the §III-D
 // priority model already ranks them above general guests, and the QoS
 // layer must never add jitter to the critical path it protects.
 //
@@ -23,6 +23,7 @@ package nova
 // charges), so every run replays the same decision sequence.
 
 import (
+	"repro/internal/abi"
 	"repro/internal/fault"
 	"repro/internal/simclock"
 	"repro/internal/trace"
@@ -39,22 +40,20 @@ type QoSConfig struct {
 	RefillEvery simclock.Cycles
 
 	// TripAt is the breaker score that opens a client's circuit; 0
-	// disables the breaker.
+	// disables the breaker. The score leaks one point per qosDecayEvery.
 	TripAt uint32
-	// DecayEvery is the cycles per point of breaker-score leak (default
-	// 1 ms when the breaker is on).
-	DecayEvery simclock.Cycles
 	// Cooldown is how long an open breaker rejects before it re-closes
 	// (default 10 ms).
 	Cooldown simclock.Cycles
-	// FaultWeight is the breaker charge for a *failed* reconfiguration,
-	// against 1 for a launch (default 4).
-	FaultWeight uint32
-
-	// CriticalPriority is the PD priority at (or above) which clients
-	// bypass admission entirely (default PrioService).
-	CriticalPriority int
 }
+
+const (
+	// qosDecayEvery is the cycles per point of breaker-score leak (1 ms).
+	qosDecayEvery = 1000 * simclock.CyclesPerMicrosecond
+	// qosFaultWeight is the breaker charge for a *failed*
+	// reconfiguration, against 1 for a launch.
+	qosFaultWeight = 4
+)
 
 // Enabled reports whether any guard is configured.
 func (q QoSConfig) Enabled() bool { return q.BucketCapacity != 0 || q.TripAt != 0 }
@@ -64,17 +63,8 @@ func (q QoSConfig) withDefaults() QoSConfig {
 	if q.RefillEvery == 0 {
 		q.RefillEvery = simclock.FromMillis(1)
 	}
-	if q.DecayEvery == 0 {
-		q.DecayEvery = simclock.FromMillis(1)
-	}
 	if q.Cooldown == 0 {
 		q.Cooldown = simclock.FromMillis(10)
-	}
-	if q.FaultWeight == 0 {
-		q.FaultWeight = 4
-	}
-	if q.CriticalPriority == 0 {
-		q.CriticalPriority = PrioService
 	}
 	return q
 }
@@ -96,28 +86,28 @@ func (k *Kernel) EnableQoS(cfg QoSConfig) {
 // initQoS arms pd's guard state from the active config.
 func (k *Kernel) initQoS(pd *PD) {
 	pd.bucket = fault.TokenBucket{Capacity: k.qos.BucketCapacity, RefillEvery: k.qos.RefillEvery}
-	pd.breaker = fault.Breaker{TripAt: k.qos.TripAt, DecayEvery: k.qos.DecayEvery, Cooldown: k.qos.Cooldown}
+	pd.breaker = fault.Breaker{TripAt: k.qos.TripAt, DecayEvery: qosDecayEvery, Cooldown: k.qos.Cooldown}
 }
 
 // admitHwRequest runs the portal guards for an acquire from pd on its
 // home core c. StatusOK admits; StatusThrottled / StatusRetry bounce the
 // request before it touches the manager queue.
 func (k *Kernel) admitHwRequest(c *CoreCtx, pd *PD) uint32 {
-	if !k.qosOn || pd == k.hwSvc || pd.Priority >= k.qos.CriticalPriority {
-		return StatusOK
+	if !k.qosOn || pd == k.hwSvc || pd.Priority >= PrioService {
+		return abi.StatusOK
 	}
 	now := c.Clock.Now()
 	if pd.breaker.Open(now) {
-		return StatusRetry
+		return abi.StatusRetry
 	}
 	if !pd.bucket.Take(now) {
 		if k.Tracer != nil {
 			k.Tracer.Core(c.ID).Emit(now, trace.KindQoSThrottle,
 				0, uint64(pd.ID), pd.bucket.Denials)
 		}
-		return StatusThrottled
+		return abi.StatusThrottled
 	}
-	return StatusOK
+	return abi.StatusOK
 }
 
 // QoSCounters returns pd's guard ledger — bucket denials, breaker trips

@@ -18,15 +18,15 @@ import (
 // its own core — mid-epoch while that core runs, at the barrier by the
 // commit replay — so a ring holds its core's events in simulated order.
 
-// EnableTrace switches tracing on with the given per-core ring capacity
-// (<= 0 selects trace.DefaultCapacity). Idempotent: a second call returns
-// the existing tracer. Call it before guests run so rings catch the whole
-// scenario; PDs created afterwards are hooked up automatically.
-func (k *Kernel) EnableTrace(capacity int) *trace.Tracer {
+// EnableTrace switches tracing on with trace.DefaultCapacity-event rings
+// per core. Idempotent: a second call returns the existing tracer. Call
+// it before guests run so rings catch the whole scenario; PDs created
+// afterwards are hooked up automatically.
+func (k *Kernel) EnableTrace() *trace.Tracer {
 	if k.Tracer != nil {
 		return k.Tracer
 	}
-	t := trace.New(len(k.Cores), capacity)
+	t := trace.New(len(k.Cores), trace.DefaultCapacity)
 	t.SelectorName = k.portalName
 	t.PDName = func(id int) string {
 		if id >= 0 && id < len(k.PDs) {

@@ -83,12 +83,9 @@ func (w Window) Contains(a physmem.Addr, n uint32) bool {
 }
 
 // HwMMU is the custom DMA gatekeeper of §IV-C, one window per PRR.
-// Disabled turns the check off (security ablation: without the hwMMU a
-// hardware task can DMA anywhere, which is exactly the §IV-C threat).
 type HwMMU struct {
 	windows    []Window
 	Violations uint64
-	Disabled   bool
 }
 
 // NewHwMMU sizes the unit for n PRRs, all windows invalid.
@@ -107,7 +104,7 @@ func (h *HwMMU) Check(r int, a physmem.Addr, n uint32) bool {
 		return true
 	}
 	h.Violations++
-	return h.Disabled // disabled: count the breach but let it through
+	return false
 }
 
 // PRR is one partially reconfigurable region.

@@ -159,9 +159,6 @@ type Pipeline struct {
 	Queue    *Queue
 	Prefetch *Prefetcher
 
-	// PrefetchOn gates speculative fills (history is learned regardless).
-	PrefetchOn bool
-
 	// Probes, when set, receives the reconfiguration latency samples
 	// (PhaseReconfigCold / PhaseReconfigWarm / PhaseReconfigQWait).
 	Probes *measure.Set
@@ -177,6 +174,10 @@ type Pipeline struct {
 	Inject *fault.Injector
 
 	Stats Stats
+
+	// prefetch gates speculative fills (Config.Prefetch; history is
+	// learned regardless).
+	prefetch bool
 
 	active      *Request
 	fills       []*fill
@@ -197,25 +198,18 @@ type Pipeline struct {
 // completion hook. storePA is the physical base of the bitstream store.
 func New(clock *simclock.Clock, fabric *pl.Fabric, bus *physmem.Bus, storePA physmem.Addr, cfg Config) *Pipeline {
 	p := &Pipeline{
-		Clock:      clock,
-		Fabric:     fabric,
-		Bus:        bus,
-		StorePA:    storePA,
-		Cache:      NewCache(cfg.CacheBytes),
-		Queue:      NewQueue(),
-		Prefetch:   NewPrefetcher(),
-		PrefetchOn: cfg.Prefetch,
+		Clock:    clock,
+		Fabric:   fabric,
+		Bus:      bus,
+		StorePA:  storePA,
+		Cache:    NewCache(cfg.CacheBytes),
+		Queue:    NewQueue(),
+		Prefetch: NewPrefetcher(),
+		prefetch: cfg.Prefetch,
 	}
 	p.Cache.OnEvict = p.onEvict
 	fabric.PCAP.OnComplete = p.pcapComplete
 	return p
-}
-
-// SetCacheCapacity replaces the cache with an empty one of the given
-// budget (experiment sweeps resize before any traffic flows).
-func (p *Pipeline) SetCacheCapacity(bytes uint32) {
-	p.Cache = NewCache(bytes)
-	p.Cache.OnEvict = p.onEvict
 }
 
 func (p *Pipeline) onEvict(e *CacheEntry) {
@@ -371,16 +365,16 @@ func (p *Pipeline) retryOrFail(r *Request) {
 	}
 	p.Stats.Retries++
 	p.Trace.Emit(p.Clock.Now(), trace.KindReconfigRetry, r.Flow, uint64(r.Key), uint64(r.attempts))
-	p.Clock.After(backoff(cfg, r.attempts), func(simclock.Cycles) {
+	p.Clock.After(backoff(r.attempts), func(simclock.Cycles) {
 		if p.active == r {
 			p.kick(r)
 		}
 	})
 }
 
-// backoff returns attempt n's retry delay: BackoffBase << (n-1), shift
-// clamped so a misconfigured retry budget cannot overflow.
-func backoff(cfg fault.Config, attempts int) simclock.Cycles {
+// backoff returns attempt n's retry delay: fault.BackoffBase << (n-1),
+// shift clamped so a misconfigured retry budget cannot overflow.
+func backoff(attempts int) simclock.Cycles {
 	shift := attempts - 1
 	if shift > 16 {
 		shift = 16
@@ -388,7 +382,7 @@ func backoff(cfg fault.Config, attempts int) simclock.Cycles {
 	if shift < 0 {
 		shift = 0
 	}
-	return cfg.BackoffBase << shift
+	return fault.BackoffBase << shift
 }
 
 // failActive fails the request holding the PCAP channel and drains the
@@ -566,7 +560,7 @@ func (p *Pipeline) PRRFaults(target int) int {
 // successor of key, but only in an idle window: nothing queued, no
 // transfer active, and the SD channel free.
 func (p *Pipeline) maybePrefetch(key uint32) {
-	if !p.PrefetchOn || p.active != nil || p.Queue.Depth() > 0 || p.fillRunning {
+	if !p.prefetch || p.active != nil || p.Queue.Depth() > 0 || p.fillRunning {
 		return
 	}
 	next, length, ok := p.Prefetch.Predict(key)
@@ -650,7 +644,7 @@ func (p *Pipeline) fillErr(f *fill) {
 	if f.attempts <= cfg.MaxRetries {
 		p.Stats.Retries++
 		p.Trace.Emit(p.Clock.Now(), trace.KindReconfigRetry, f.flow, uint64(f.key), uint64(f.attempts))
-		p.Clock.After(backoff(cfg, f.attempts), func(simclock.Cycles) {
+		p.Clock.After(backoff(f.attempts), func(simclock.Cycles) {
 			p.startRead(f)
 		})
 		return

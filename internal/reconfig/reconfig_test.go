@@ -263,8 +263,10 @@ func TestPrefetchFillsPredictedSuccessor(t *testing.T) {
 		r.pipe.Submit(r.request(2, 0, 1, &done))
 		r.clock.RunUntilIdle(100)
 	}
-	// Evict nothing; just clear the cache to force re-learning the win.
-	r.pipe.SetCacheCapacity(1 << 20)
+	// Evict nothing; just drop both images to force re-learning the win.
+	for _, id := range []uint16{1, 2} {
+		r.pipe.Cache.Invalidate(r.pipe.Cache.Peek(r.offs[id]))
+	}
 	// A completed demand for 1 should now prefetch 2 in the idle window.
 	r.pipe.Submit(r.request(1, 0, 1, &done))
 	r.clock.RunUntilIdle(100)

@@ -22,6 +22,7 @@ import (
 	"repro/internal/measure"
 	"repro/internal/nova"
 	"repro/internal/pl"
+	"repro/internal/reconfig"
 	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/trace"
@@ -42,7 +43,7 @@ type VM struct {
 
 	// HwGapTicks > 0 runs a hardware-task churn driver that acquires a
 	// task from the menu, runs it once, and sleeps this many guest ticks
-	// — the reconfiguration churn rate.
+	// (uC/OS-II's 1 ms tick) — the reconfiguration churn rate.
 	HwGapTicks uint32
 	// HwMenu is the churn driver's task menu (nil = the shared QAM pool
 	// plus a per-VM FFT stage, the Table III mix).
@@ -76,8 +77,6 @@ type Spec struct {
 	Policy string
 	// QuantumMs is the guest time slice (0 = the paper's 33 ms).
 	QuantumMs float64
-	// TickMs is the guest OS tick period (0 = 1 ms).
-	TickMs float64
 	// RunMs is the simulated runtime budget.
 	RunMs float64
 	// Seed diversifies the per-VM pseudo-random streams.
@@ -97,8 +96,6 @@ type Spec struct {
 	// bounded rings). Tracing never touches checksummed state:
 	// a traced run's checksum is byte-identical to an untraced one.
 	Trace bool
-	// TraceCapacity overrides the per-core ring capacity (0 = default).
-	TraceCapacity int
 
 	// Faults is the scenario's deterministic fault plan (zero = no
 	// injection). Its Seed defaults to the spec's Seed, so the fault
@@ -123,9 +120,6 @@ func (s Spec) normalized() Spec {
 	}
 	if s.QuantumMs == 0 {
 		s.QuantumMs = nova.DefaultQuantumMs
-	}
-	if s.TickMs == 0 {
-		s.TickMs = 1
 	}
 	if s.RunMs == 0 {
 		s.RunMs = 100
@@ -185,7 +179,7 @@ func Build(spec Spec) *System {
 	}
 	k.Sched = pol
 	if spec.Trace {
-		k.EnableTrace(spec.TraceCapacity)
+		k.EnableTrace()
 	}
 
 	caps := hwtask.PaperPRRCapacities()
@@ -194,11 +188,12 @@ func Build(spec Spec) *System {
 	for id, core := range hwtask.PaperCores() {
 		fabric.RegisterCore(id, core)
 	}
-	k.AttachFabric(fabric)
+	rc := reconfig.DefaultConfig()
 	if spec.CacheBytes != 0 {
-		k.Reconfig.SetCacheCapacity(spec.CacheBytes)
+		rc.CacheBytes = spec.CacheBytes
 	}
-	k.Reconfig.PrefetchOn = !spec.PrefetchOff
+	rc.Prefetch = !spec.PrefetchOff
+	k.AttachFabric(fabric, rc)
 	if spec.Faults.Enabled() {
 		fc := spec.Faults
 		if fc.Seed == 0 {
@@ -268,9 +263,7 @@ func (s *System) addVM(idx int, vm VM) {
 		s.startStorm(pd, line, simclock.FromMicros(vm.StormPeriodUs), vm.StormBurst)
 	}
 
-	tick := s.Spec.TickMs
 	g.Setup = func(os *ucos.OS) {
-		os.TickPeriod = simclock.FromMillis(tick)
 		for _, irq := range stormIRQs {
 			irq := irq
 			os.RegisterIRQ(irq, func(int) { p.stormHandled++ })

@@ -28,31 +28,18 @@ type SnapshotSpec struct {
 	TTLMs float64
 	// KeepWarm re-tops the shelf to Prewarm after each reap scan.
 	KeepWarm bool
-	// BootMs bounds the template's boot-to-quiescence phase (0 = 12).
-	BootMs float64
-	// Tasks is the template's serverless handler count (0 = 3, max 8).
-	Tasks int
-	// ColdExec is each handler's one-time cold-start instruction burst —
-	// the work a fork skips (0 = 700_000).
-	ColdExec int
 }
 
-// normalized fills the snapshot spec's defaults.
-func (sp SnapshotSpec) normalized() SnapshotSpec {
-	if sp.BootMs == 0 {
-		sp.BootMs = 12
-	}
-	if sp.Tasks == 0 {
-		sp.Tasks = 3
-	}
-	if sp.Tasks > 8 {
-		sp.Tasks = 8
-	}
-	if sp.ColdExec == 0 {
-		sp.ColdExec = 700_000
-	}
-	return sp
-}
+// The template's shape.
+const (
+	// tplBootMs bounds the template's boot-to-quiescence phase.
+	tplBootMs = 12
+	// tplTasks is the template's serverless handler count.
+	tplTasks = 3
+	// tplColdExec is each handler's one-time cold-start instruction
+	// burst — the work a fork skips.
+	tplColdExec = 700_000
+)
 
 // slsState is one serverless handler's host-side mutable state. It is
 // what makes clones more than copies: each clone's states are deep-copied
@@ -66,7 +53,7 @@ type slsState struct {
 }
 
 // slsBufPages is each handler's working-set size in pages — it bounds a
-// clone's COW copies at Tasks*slsBufPages frames, within the arena.
+// clone's COW copies at tplTasks*slsBufPages frames, within the arena.
 const slsBufPages = 4
 
 // slsBody is a serverless handler: an optional cold start (executed only
@@ -102,9 +89,8 @@ func slsBody(st *slsState, idx int) func(t *ucos.Task) {
 // same setup shape runs on the template at boot and on every clone at
 // restore (with the clone's own states), satisfying ucos.Restore's
 // tasks-recreated contract.
-func slsSetup(tickMs float64, states []*slsState) func(os *ucos.OS) {
+func slsSetup(states []*slsState) func(os *ucos.OS) {
 	return func(os *ucos.OS) {
-		os.TickPeriod = simclock.FromMillis(tickMs)
 		for i, st := range states {
 			if err := os.TaskCreate(fmt.Sprintf("fn%d", i), 8+i, slsBody(st, i)); err != nil {
 				panic(err)
@@ -153,20 +139,19 @@ func (s *System) addTemplateVM(idx int, vm VM) {
 	}
 	p := &vmProbe{spec: vm}
 	p.acq.Keep = true
-	cfg := s.Spec.Snapshot.normalized()
 	seed := mix(s.Spec.Seed, uint32(idx))
-	states := make([]*slsState, cfg.Tasks)
+	states := make([]*slsState, tplTasks)
 	for i := range states {
-		states[i] = &slsState{rng: mix(seed, uint32(0x515+i)), cold: cfg.ColdExec}
+		states[i] = &slsState{rng: mix(seed, uint32(0x515+i)), cold: tplColdExec}
 	}
-	g := &ucos.Guest{GuestName: vm.Name, Setup: slsSetup(s.Spec.TickMs, states)}
+	g := &ucos.Guest{GuestName: vm.Name, Setup: slsSetup(states)}
 	p.guest = g
 	p.pd = s.Kernel.CreatePD(nova.PDConfig{
 		Name: vm.Name, Priority: vm.Priority, Guest: g, Affinity: vm.Affinity,
 	})
 	s.probes = append(s.probes, p)
 	if s.snap == nil {
-		s.snap = &snapRun{cfg: cfg, key: vm.Name, tpl: p, tplStates: states}
+		s.snap = &snapRun{cfg: *s.Spec.Snapshot, key: vm.Name, tpl: p, tplStates: states}
 	}
 }
 
@@ -175,11 +160,11 @@ func (s *System) addTemplateVM(idx int, vm VM) {
 // panicking if the boot budget runs out first.
 func (s *System) bootToQuiescence() {
 	sr := s.snap
-	limit := simclock.FromMillis(sr.cfg.BootMs)
+	limit := simclock.FromMillis(tplBootMs)
 	step := simclock.FromMicros(250)
 	for !sr.tpl.pd.IdleParked() {
 		if s.Kernel.Clock.Now() >= limit {
-			panic(fmt.Sprintf("scenario %q: template failed to quiesce within %.1f ms", s.Spec.Name, sr.cfg.BootMs))
+			panic(fmt.Sprintf("scenario %q: template failed to quiesce within %d ms", s.Spec.Name, tplBootMs))
 		}
 		s.Kernel.RunFor(step)
 	}
@@ -216,7 +201,7 @@ func (s *System) buildClone(seq int) *cloneVM {
 		cp.rng = (cp.rng ^ mix(s.Spec.Seed, uint32(0xC10E+seq*8+i))) | 1
 		states[i] = &cp
 	}
-	g := &ucos.ResumedGuest{GuestName: name, Snap: sr.osnap, Setup: slsSetup(s.Spec.TickMs, states)}
+	g := &ucos.ResumedGuest{GuestName: name, Snap: sr.osnap, Setup: slsSetup(states)}
 	pd := s.Kernel.CreateClone(sr.img, nova.CloneConfig{Name: name, Guest: g})
 	cv := &cloneVM{name: name, pd: pd, guest: g, states: states}
 	sr.clones = append(sr.clones, cv)

@@ -220,8 +220,9 @@ type Event struct {
 	Kind Kind
 }
 
-// DefaultCapacity is the per-core ring capacity EnableTrace-style
-// constructors use when the caller does not choose one. Sized so the
+// DefaultCapacity is the per-core ring capacity of the kernel's tracer
+// (nova.Kernel.EnableTrace), and NewRing's when the caller does not
+// choose one. Sized so the
 // flight recorder retains the full causal chain of recent hardware-task
 // requests even on a core flooded with hypercall and scheduler events.
 const DefaultCapacity = 16384

@@ -105,7 +105,7 @@ func (h *HwTask) Run(t *Task, srcOff, dstOff, length, param uint32, timeoutTicks
 }
 
 // RunPolled is the no-IRQ variant: busy-polls the status register
-// (for the ablation comparing §IV-E's two completion methods).
+// (§IV-E's second completion method).
 func (h *HwTask) RunPolled(t *Task, srcOff, dstOff, length, param uint32) bool {
 	if !h.Consistent(t) {
 		return false

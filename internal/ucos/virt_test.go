@@ -8,6 +8,7 @@ import (
 	"repro/internal/hwtask"
 	"repro/internal/nova"
 	"repro/internal/pl"
+	"repro/internal/reconfig"
 	"repro/internal/simclock"
 )
 
@@ -21,7 +22,7 @@ func virtSystem(t *testing.T, n int, setup func(vm int, os *OS)) (*nova.Kernel, 
 	for id, core := range paperCores() {
 		fabric.RegisterCore(id, core)
 	}
-	k.AttachFabric(fabric)
+	k.AttachFabric(fabric, reconfig.DefaultConfig())
 
 	mgr := hwtask.NewManager(len(caps), nova.GuestUserBase+0x10_0000)
 	if err := hwtask.InstallTaskSet(mgr, k.Bus, nova.BitstreamStorePA(), caps); err != nil {
