@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/abi"
 	"repro/internal/apps"
 	"repro/internal/hwtask"
 	"repro/internal/nova"
@@ -26,7 +27,7 @@ func main() {
 	// Dual-core: the contending VMs share core 0 while the Hardware Task
 	// Manager arbitrates from core 1.
 	k := nova.NewKernelSMP(2)
-	k.Sched = sched.NewPartitioned(2, simclock.FromMillis(nova.DefaultQuantumMs))
+	k.Sched = sched.New("partitioned", 2, simclock.FromMillis(nova.DefaultQuantumMs))
 	defer k.Shutdown()
 
 	// One large PRR only: maximal contention for the shared task.
@@ -62,7 +63,7 @@ func main() {
 					for {
 						h, st := t.AcquireHw(hwtask.TaskQAM4)
 						if h == nil {
-							if st == hwtask.ReplyBusy {
+							if st == abi.StatusBusy {
 								t.Delay(2)
 								continue
 							}

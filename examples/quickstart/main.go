@@ -7,13 +7,10 @@ package main
 
 import (
 	"fmt"
-	"log"
 
-	"repro/internal/apps"
 	"repro/internal/hwtask"
 	"repro/internal/nova"
-	"repro/internal/pl"
-	"repro/internal/reconfig"
+	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/ucos"
@@ -23,36 +20,14 @@ func main() {
 	// 1. Boot the microkernel on both cores of the simulated Zynq-7000
 	//    PS, statically partitioned: guest VMs own core 0, the Hardware
 	//    Task Manager service owns core 1 (the paper's intended
-	//    deployment on the dual-core part).
-	k := nova.NewKernelSMP(2)
-	k.Sched = sched.NewPartitioned(2, simclock.FromMillis(nova.DefaultQuantumMs))
+	//    deployment on the dual-core part). The PL carries the paper's
+	//    four reconfigurable regions with the FFT/QAM bitstream catalog
+	//    and behavioural IP cores, and the manager runs as a user-level
+	//    service PD.
+	sys := scenario.Build(scenario.Spec{Cores: 2, Policy: "partitioned", ServiceCore: sched.MaskOf(1)})
+	k, mgr := sys.Kernel, sys.Manager
 
-	// 2. Build the PL: the paper's four reconfigurable regions with the
-	//    FFT/QAM bitstream catalog and behavioural IP cores.
-	caps := hwtask.PaperPRRCapacities()
-	fabric := pl.NewFabric(k.Clock, k.Bus, k.GIC, caps)
-	for _, id := range hwtask.QAMTaskIDs {
-		fabric.RegisterCore(id, apps.QAMCore{})
-	}
-	for _, id := range hwtask.FFTTaskIDs {
-		fabric.RegisterCore(id, apps.FFTCore{})
-	}
-	k.AttachFabric(fabric, reconfig.DefaultConfig())
-
-	mgr := hwtask.NewManager(len(caps), nova.GuestUserBase+0x10_0000)
-	if err := hwtask.InstallTaskSet(mgr, k.Bus, nova.BitstreamStorePA(), caps); err != nil {
-		log.Fatal(err)
-	}
-
-	// 3. Start the Hardware Task Manager as a user-level service PD.
-	svcPD := k.CreatePD(nova.PDConfig{
-		Name: "hwtm", Priority: nova.PrioService, Caps: nova.CapHwManager,
-		Guest: hwtask.NewService(mgr, k), CodeBase: nova.GuestUserBase,
-		CodeSize: 8 << 10, Affinity: sched.MaskOf(1), StartSuspended: true,
-	})
-	k.RegisterHwService(svcPD)
-
-	// 4. Create one uC/OS-II guest with a task that uses the accelerator.
+	// 2. Create one uC/OS-II guest with a task that uses the accelerator.
 	guest := &ucos.Guest{
 		GuestName: "demo-vm",
 		Setup: func(os *ucos.OS) {
@@ -81,7 +56,7 @@ func main() {
 		Affinity: sched.MaskOf(0),
 	})
 
-	// 5. Run 50 simulated milliseconds and show what happened.
+	// 3. Run 50 simulated milliseconds and show what happened.
 	k.RunFor(simclock.FromMillis(50))
 	defer k.Shutdown()
 

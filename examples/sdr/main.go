@@ -9,48 +9,21 @@ package main
 
 import (
 	"fmt"
-	"log"
 
-	"repro/internal/apps"
 	"repro/internal/hwtask"
 	"repro/internal/nova"
-	"repro/internal/pl"
-	"repro/internal/reconfig"
+	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/ucos"
 )
 
-func buildSystem() (*nova.Kernel, *hwtask.Manager) {
+func main() {
 	// Dual-core deployment: the SDR guest owns core 0, the Hardware Task
 	// Manager service owns core 1, so accelerator requests never evict
 	// the pipeline from its core.
-	k := nova.NewKernelSMP(2)
-	k.Sched = sched.NewPartitioned(2, simclock.FromMillis(nova.DefaultQuantumMs))
-	caps := hwtask.PaperPRRCapacities()
-	fabric := pl.NewFabric(k.Clock, k.Bus, k.GIC, caps)
-	for _, id := range hwtask.QAMTaskIDs {
-		fabric.RegisterCore(id, apps.QAMCore{})
-	}
-	for _, id := range hwtask.FFTTaskIDs {
-		fabric.RegisterCore(id, apps.FFTCore{})
-	}
-	k.AttachFabric(fabric, reconfig.DefaultConfig())
-	mgr := hwtask.NewManager(len(caps), nova.GuestUserBase+0x10_0000)
-	if err := hwtask.InstallTaskSet(mgr, k.Bus, nova.BitstreamStorePA(), caps); err != nil {
-		log.Fatal(err)
-	}
-	svcPD := k.CreatePD(nova.PDConfig{
-		Name: "hwtm", Priority: nova.PrioService, Caps: nova.CapHwManager,
-		Guest: hwtask.NewService(mgr, k), CodeBase: nova.GuestUserBase,
-		CodeSize: 8 << 10, Affinity: sched.MaskOf(1), StartSuspended: true,
-	})
-	k.RegisterHwService(svcPD)
-	return k, mgr
-}
-
-func main() {
-	k, mgr := buildSystem()
+	sys := scenario.Build(scenario.Spec{Cores: 2, Policy: "partitioned", ServiceCore: sched.MaskOf(1)})
+	k, mgr := sys.Kernel, sys.Manager
 	defer k.Shutdown()
 
 	framesDone := 0

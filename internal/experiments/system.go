@@ -7,6 +7,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/abi"
 	"repro/internal/apps"
 	"repro/internal/hwtask"
 	"repro/internal/measure"
@@ -90,7 +91,7 @@ func hwDriverTask(cfg Config, vm int, done *bool, requests *int, stopWhenDone bo
 				if i >= cfg.Warmup {
 					*requests++
 				}
-			} else if st == hwtask.ReplyBusy && i >= cfg.Warmup {
+			} else if st == abi.StatusBusy && i >= cfg.Warmup {
 				*requests++ // busy replies are manager executions too
 			}
 			t.Delay(cfg.RequestGapTicks)
@@ -237,7 +238,7 @@ type NativeSystem struct {
 
 // BuildNativeSystem boots the baseline with the same two tasks.
 func BuildNativeSystem(cfg Config) *NativeSystem {
-	nm := ucos.NewNativeMachine(hwtask.PaperCores())
+	nm := ucos.NewNativeMachine()
 	os := ucos.NewOS("native-ucos", nm)
 	sys := &NativeSystem{Machine: nm, OS: os, Probes: nm.Probes}
 	os.TaskCreate("t_hw", 8, hwDriverTask(cfg, 0, &sys.done, &sys.reqs, true, nm.Probes.Reset))

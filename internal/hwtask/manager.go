@@ -57,20 +57,6 @@ type PRRState struct {
 	Executions uint64 // completed dispatches through this region
 }
 
-// Reply status codes — the shared ABI's hypercall statuses, aliased so
-// the decision core keeps its historical spelling without duplicating
-// the values.
-const (
-	ReplyOK       = abi.StatusOK
-	ReplyReconfig = abi.StatusReconfig
-	ReplyBusy     = abi.StatusBusy
-	ReplyInval    = abi.StatusInval
-	// ReplyFaulted means every PRR compatible with the task is quarantined
-	// (repeated configuration faults); retrying will not help until a
-	// region heals or the task set changes.
-	ReplyFaulted = abi.StatusFaulted
-)
-
 // Actions abstracts the privileged effects of an allocation so the same
 // decision core serves the virtualized service (capability portals) and
 // the native baseline (direct device programming).
@@ -100,21 +86,6 @@ type Actions interface {
 	// returns the GIC interrupt ID (ok=false when lines are exhausted).
 	AllocIRQ(req nova.MgrRequestView, prr int) (irq int, ok bool)
 }
-
-// Reply packing lives in the shared ABI (abi.MakeReply and friends);
-// these wrappers keep the package-local names the harnesses use.
-
-// MakeReply packs status, PRR and IRQ into one reply word.
-func MakeReply(status uint32, prr, irq int) uint32 { return abi.MakeReply(status, prr, irq) }
-
-// StatusOf extracts the status byte of a reply.
-func StatusOf(reply uint32) uint32 { return abi.ReplyStatus(reply) }
-
-// PRROf extracts the granted PRR (-1 when none).
-func PRROf(reply uint32) int { return abi.ReplyPRR(reply) }
-
-// IRQOf extracts the allocated GIC interrupt id (0 when none).
-func IRQOf(reply uint32) int { return abi.ReplyIRQ(reply) }
 
 // Stats counts manager outcomes.
 type Stats struct {
@@ -194,7 +165,7 @@ func (m *Manager) Handle(ctx *cpu.ExecContext, req nova.MgrRequestView, act Acti
 
 	t, ok := m.Tasks[req.TaskID]
 	if !ok {
-		return ReplyInval
+		return abi.StatusInval
 	}
 	m.touchTask(ctx, req.TaskID)
 
@@ -246,10 +217,10 @@ func (m *Manager) Handle(ctx *cpu.ExecContext, req nova.MgrRequestView, act Acti
 			// Nothing compatible is left in the placement pool: Busy would
 			// invite a futile retry storm, so tell the client the truth.
 			m.Stats.Faulted++
-			return ReplyFaulted
+			return abi.StatusFaulted
 		}
 		m.Stats.Busy++
-		return ReplyBusy
+		return abi.StatusBusy
 	}
 
 	// Stage 3 preamble: reclaim from the previous owner if necessary
@@ -263,13 +234,13 @@ func (m *Manager) Handle(ctx *cpu.ExecContext, req nova.MgrRequestView, act Acti
 	// Stage 3: map the hardware-task interface into the client.
 	m.exec(ctx, 600)
 	if !act.MapIface(req, chosen) {
-		return ReplyInval
+		return abi.StatusInval
 	}
 
 	// Stage 4: load the hwMMU with the client's data section.
 	m.exec(ctx, 350)
 	if !act.LoadWindow(req, chosen) {
-		return ReplyInval
+		return abi.StatusInval
 	}
 
 	// Interrupt plumbing (§IV-D).
@@ -279,7 +250,7 @@ func (m *Manager) Handle(ctx *cpu.ExecContext, req nova.MgrRequestView, act Acti
 	// Stage 5: reconfigure if the region does not hold the task yet. The
 	// manager launches the PCAP transfer and does NOT wait ("to overlap
 	// the significant reconfiguration overhead", §IV-E).
-	status := uint32(ReplyOK)
+	status := uint32(abi.StatusOK)
 	if needReconfig {
 		m.exec(ctx, 500)
 		if !act.StartReconfig(req, t, chosen) {
@@ -287,11 +258,11 @@ func (m *Manager) Handle(ctx *cpu.ExecContext, req nova.MgrRequestView, act Acti
 			// transfer, so the caller retries. The virtualized path
 			// queues the request in the reconfiguration pipeline instead.
 			m.Stats.Busy++
-			return ReplyBusy
+			return abi.StatusBusy
 		}
 		m.Stats.Reconfigs++
 		m.PRRs[chosen].Loading = true
-		status = ReplyReconfig
+		status = abi.StatusReconfig
 	} else {
 		m.Stats.Hits++
 	}
@@ -302,7 +273,7 @@ func (m *Manager) Handle(ctx *cpu.ExecContext, req nova.MgrRequestView, act Acti
 	m.PRRs[chosen].Executions++
 	m.touchPRR(ctx, chosen, true)
 	m.exec(ctx, 650)
-	return MakeReply(status, chosen, irq)
+	return abi.MakeReply(status, chosen, irq)
 }
 
 func (m *Manager) handleRelease(ctx *cpu.ExecContext, req nova.MgrRequestView, act Actions) uint32 {
@@ -316,7 +287,7 @@ func (m *Manager) handleRelease(ctx *cpu.ExecContext, req nova.MgrRequestView, a
 			m.touchPRR(ctx, r, true)
 		}
 	}
-	return ReplyOK
+	return abi.StatusOK
 }
 
 // NotifyLoaded marks a PCAP completion for the region (called by the

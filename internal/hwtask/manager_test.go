@@ -3,6 +3,7 @@ package hwtask
 import (
 	"testing"
 
+	"repro/internal/abi"
 	"repro/internal/bitstream"
 	"repro/internal/cpu"
 	"repro/internal/gic"
@@ -95,8 +96,8 @@ func TestFFTOnlyFitsLargePRRs(t *testing.T) {
 func TestColdAllocationReconfigures(t *testing.T) {
 	m := mgr(t)
 	act := &fakeActions{busy: map[int]bool{}}
-	status := StatusOf(m.Handle(testCtx(), req(1, TaskFFT1024), act))
-	if status != ReplyReconfig {
+	status := abi.ReplyStatus(m.Handle(testCtx(), req(1, TaskFFT1024), act))
+	if status != abi.StatusReconfig {
 		t.Fatalf("cold allocation status = %d, want reconfig", status)
 	}
 	if len(act.reconfigs) != 1 || act.reconfigs[0] != 0 {
@@ -116,8 +117,8 @@ func TestWarmAllocationAvoidsReconfig(t *testing.T) {
 	m.Handle(testCtx(), req(1, TaskQAM16), act)
 	m.NotifyLoaded(0)
 	// Same task again, same client: configuration is already loaded.
-	status := StatusOf(m.Handle(testCtx(), req(1, TaskQAM16), act))
-	if status != ReplyOK {
+	status := abi.ReplyStatus(m.Handle(testCtx(), req(1, TaskQAM16), act))
+	if status != abi.StatusOK {
 		t.Fatalf("warm allocation status = %d, want OK", status)
 	}
 	if len(act.reconfigs) != 1 {
@@ -134,8 +135,8 @@ func TestReclaimFromOtherVM(t *testing.T) {
 	m.Handle(testCtx(), req(1, TaskQAM4), act)
 	m.NotifyLoaded(0)
 	// VM 2 wants the same task: region must be reclaimed from VM 1.
-	status := StatusOf(m.Handle(testCtx(), req(2, TaskQAM4), act))
-	if status != ReplyOK {
+	status := abi.ReplyStatus(m.Handle(testCtx(), req(2, TaskQAM4), act))
+	if status != abi.StatusOK {
 		t.Fatalf("status = %d", status)
 	}
 	if len(act.reclaims) != 1 || act.reclaims[0] != [2]int{1, 0} {
@@ -150,7 +151,7 @@ func TestBusyWhenAllRegionsExecuting(t *testing.T) {
 	m := mgr(t)
 	act := &fakeActions{busy: map[int]bool{0: true, 1: true}}
 	status := m.Handle(testCtx(), req(1, TaskFFT256), act)
-	if status != ReplyBusy {
+	if status != abi.StatusBusy {
 		t.Fatalf("status = %d, want Busy (Fig. 7 stage 2)", status)
 	}
 	if m.Stats.Busy != 1 {
@@ -171,8 +172,8 @@ func TestBusyRegionsNeverVictims(t *testing.T) {
 	m.NotifyLoaded(1)
 	// PRR0 starts executing; a request for a third FFT must take PRR1.
 	act.busy = map[int]bool{0: true}
-	status := StatusOf(m.Handle(testCtx(), req(3, TaskFFT1024), act))
-	if status != ReplyReconfig {
+	status := abi.ReplyStatus(m.Handle(testCtx(), req(3, TaskFFT1024), act))
+	if status != abi.StatusReconfig {
 		t.Fatalf("status = %d", status)
 	}
 	if got := act.reconfigs[len(act.reconfigs)-1]; got != 1 {
@@ -184,7 +185,7 @@ func TestPCAPContentionReturnsBusy(t *testing.T) {
 	m := mgr(t)
 	act := &fakeActions{busy: map[int]bool{}, pcapBusy: true}
 	status := m.Handle(testCtx(), req(1, TaskFFT256), act)
-	if status != ReplyBusy {
+	if status != abi.StatusBusy {
 		t.Errorf("status = %d, want Busy when PCAP is occupied", status)
 	}
 }
@@ -192,7 +193,7 @@ func TestPCAPContentionReturnsBusy(t *testing.T) {
 func TestUnknownTaskRejected(t *testing.T) {
 	m := mgr(t)
 	act := &fakeActions{busy: map[int]bool{}}
-	if status := m.Handle(testCtx(), req(1, 999), act); status != ReplyInval {
+	if status := m.Handle(testCtx(), req(1, 999), act); status != abi.StatusInval {
 		t.Errorf("unknown task status = %d, want Inval", status)
 	}
 }
@@ -203,7 +204,7 @@ func TestRelease(t *testing.T) {
 	m.Handle(testCtx(), req(1, TaskQAM4), act)
 	m.NotifyLoaded(0)
 	status := m.Handle(testCtx(), nova.MgrRequestView{Kind: nova.HwReqRelease, ClientID: 1, TaskID: TaskQAM4}, act)
-	if status != ReplyOK {
+	if status != abi.StatusOK {
 		t.Fatalf("release status = %d", status)
 	}
 	if m.OwnerOf(0) != -1 {
@@ -213,8 +214,8 @@ func TestRelease(t *testing.T) {
 		t.Error("release dropped the loaded configuration (should stay for reuse)")
 	}
 	// Next client gets a warm hit.
-	st := StatusOf(m.Handle(testCtx(), req(2, TaskQAM4), act))
-	if st != ReplyOK || m.Stats.Hits != 1 {
+	st := abi.ReplyStatus(m.Handle(testCtx(), req(2, TaskQAM4), act))
+	if st != abi.StatusOK || m.Stats.Hits != 1 {
 		t.Errorf("post-release allocation: status=%d hits=%d", st, m.Stats.Hits)
 	}
 }

@@ -60,10 +60,9 @@ type Kernel struct {
 	Reconfig *reconfig.Pipeline
 	Alloc    *mmu.FrameAllocator
 
-	// Sched is the pluggable scheduling policy (per-CPU runqueues). The
-	// kernel depends on the interface only; replace it before creating
-	// any PD (its CPU count must match len(Cores)).
-	Sched  sched.Policy
+	// Sched is the scheduler (per-CPU runqueues). Replace it before
+	// creating any PD (its CPU count must match len(Cores)).
+	Sched  *sched.Scheduler
 	Probes *measure.Set
 
 	// Tracer is the structured-event tracing layer (nil = disabled, the
@@ -181,7 +180,7 @@ func NewKernelSMP(ncores int) *Kernel {
 		Bus:      bus,
 		GIC:      g,
 		Alloc:    mmu.NewFrameAllocator(physTables, 8<<20),
-		Sched:    sched.NewPrioRR(ncores, simclock.FromMillis(DefaultQuantumMs)),
+		Sched:    sched.New("prio-rr", ncores, simclock.FromMillis(DefaultQuantumMs)),
 		Probes:   measure.NewSet(),
 		Epoch:    DefaultEpoch,
 		hwByID:   make(map[uint32]*HwRequest),

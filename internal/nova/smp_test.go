@@ -14,7 +14,7 @@ import (
 // dualKernel boots a 2-core kernel with a partitioned scheduler.
 func dualKernel() *Kernel {
 	k := NewKernelSMP(2)
-	k.Sched = sched.NewPartitioned(2, simclock.FromMillis(DefaultQuantumMs))
+	k.Sched = sched.New("partitioned", 2, simclock.FromMillis(DefaultQuantumMs))
 	return k
 }
 

@@ -35,9 +35,7 @@ func (k *Kernel) EnableTrace() *trace.Tracer {
 		return ""
 	}
 	k.Tracer = t
-	if o, ok := k.Sched.(sched.Observable); ok {
-		o.SetObserver(kernelSchedObserver{k})
-	}
+	k.Sched.SetObserver(kernelSchedObserver{k})
 	for _, pd := range k.PDs {
 		k.traceVGIC(pd)
 	}

@@ -139,7 +139,7 @@ type vmProbe struct {
 
 	requests     uint64 // completed hardware-task runs
 	failures     uint64 // runs that returned false (timeout, DMA error)
-	busy         uint64 // ReplyBusy answers
+	busy         uint64 // StatusBusy answers
 	throttled    uint64 // StatusThrottled answers (QoS bucket empty)
 	retried      uint64 // StatusRetry answers (circuit breaker open)
 	faulted      uint64 // StatusFaulted answers (retries exhausted / PRRs down)
@@ -172,12 +172,7 @@ type System struct {
 func Build(spec Spec) *System {
 	spec = spec.normalized()
 	k := nova.NewKernelSMP(spec.Cores)
-	quantum := simclock.FromMillis(spec.QuantumMs)
-	pol, err := sched.New(spec.Policy, spec.Cores, quantum)
-	if err != nil {
-		panic(fmt.Sprintf("scenario %q: %v", spec.Name, err))
-	}
-	k.Sched = pol
+	k.Sched = sched.New(spec.Policy, spec.Cores, simclock.FromMillis(spec.QuantumMs))
 	if spec.Trace {
 		k.EnableTrace()
 	}

@@ -1,14 +1,13 @@
-// Package sched is Mini-NOVA's pluggable scheduling subsystem. The paper's
-// §III-D scheduler — preemptive priority round-robin over double-linked
-// circles per priority level — is one Policy implementation; the package
-// generalizes it to N CPUs with per-CPU runqueues and CPU-affinity masks,
+// Package sched is Mini-NOVA's scheduler: the paper's §III-D preemptive
+// priority round-robin over double-linked circles per priority level,
+// generalized to N CPUs with per-CPU runqueues and CPU-affinity masks —
 // the architectural pivot that static-partitioning hypervisors for Arm
 // mixed-criticality systems use to host partitioned multicore workloads.
 //
-// The kernel talks to the subsystem exclusively through the Policy
-// interface and schedules opaque Nodes; it never sees runqueue internals.
+// The kernel schedules opaque Nodes and never sees runqueue internals.
 // A protection domain embeds one Node and the kernel hands that node to
-// the policy, so enqueue/dequeue stay allocation-free (intrusive rings).
+// the Scheduler, so enqueue/dequeue stay allocation-free (intrusive
+// rings).
 package sched
 
 import (
@@ -66,9 +65,9 @@ func (m CPUMask) Normalize(ncpu int) CPUMask {
 
 func (m CPUMask) String() string { return fmt.Sprintf("cpus:%b", uint32(m)) }
 
-// Node is one schedulable entity as the policies see it. The owner (a
+// Node is one schedulable entity as the Scheduler sees it. The owner (a
 // protection domain) embeds a Node and keeps Priority/Affinity current;
-// everything lower-case belongs to the policy that placed the node.
+// everything lower-case belongs to the Scheduler that placed the node.
 type Node struct {
 	// Owner is an opaque back-pointer for the kernel (the *PD).
 	Owner any
@@ -96,8 +95,8 @@ func (n *Node) Queued() bool { return n.queued }
 // layer uses to record scheduling decisions. Callbacks fire only on real
 // state changes (an idempotent re-Enqueue of a queued node is silent) and
 // run synchronously inside the operation, which under the kernel's
-// discipline happens on the node's home core or in the epoch commit. Observers must not call back into the
-// policy.
+// discipline happens on the node's home core or in the epoch commit.
+// Observers must not call back into the Scheduler.
 type Observer interface {
 	// Enqueued fires when a node becomes runnable.
 	Enqueued(n *Node)
@@ -105,43 +104,6 @@ type Observer interface {
 	Dequeued(n *Node)
 	// Rotated fires when a CPU's priority ring advances after a quantum.
 	Rotated(cpu, prio int)
-}
-
-// Observable is implemented by policies that can report runqueue
-// transitions (both built-in policies, via multiQueue).
-type Observable interface {
-	SetObserver(o Observer)
-}
-
-// Policy is the scheduler interface the kernel depends on. All methods
-// are single-threaded (the platform model is one event loop).
-type Policy interface {
-	// Name labels the policy in reports.
-	Name() string
-	// NumCPUs returns the number of per-CPU runqueues.
-	NumCPUs() int
-	// Quantum is the default time slice handed to a freshly picked node.
-	Quantum() simclock.Cycles
-	// Place assigns (or re-validates) the node's home CPU from its
-	// affinity mask and returns it. Called once per node before its
-	// first Enqueue; placement is stable thereafter.
-	Place(n *Node) int
-	// Enqueue makes the node runnable on its home CPU's queue, at the
-	// tail of its priority ring. Idempotent.
-	Enqueue(n *Node)
-	// Dequeue removes the node from its runqueue (suspend). Idempotent.
-	Dequeue(n *Node)
-	// Unplace retires the node for good: dequeues it and releases its
-	// home-CPU placement so dead entities stop weighing on balancing.
-	Unplace(n *Node)
-	// Pick returns the node to run next on cpu, or nil when the CPU's
-	// queue is empty. Pick does not dequeue.
-	Pick(cpu int) *Node
-	// Rotate advances cpu's ring at the given priority after its head
-	// exhausted a quantum.
-	Rotate(cpu, prio int)
-	// Queued reports whether the node is currently runnable.
-	Queued(n *Node) bool
 }
 
 // runqueue is one CPU's priority rings — the §III-D run-queue structure,
@@ -233,90 +195,150 @@ func clampPrio(p int) int {
 	return p
 }
 
-// multiQueue is the shared core of the built-in policies: one runqueue
-// per CPU plus the bookkeeping both placement strategies need.
-type multiQueue struct {
+// Scheduler holds one runqueue per CPU plus the placement bookkeeping.
+// All methods are single-threaded (the platform model is one event
+// loop).
+type Scheduler struct {
 	queues  []runqueue
 	placed  []int // entities homed on each CPU (placement load)
 	quantum simclock.Cycles
-	obs     Observer
+	// partitioned selects the static-partitioning placement rule
+	// (otherwise placement balances; see Place).
+	partitioned bool
+	obs         Observer
 }
 
-func newMultiQueue(ncpu int, quantum simclock.Cycles) multiQueue {
+// New builds a scheduler for ncpu CPUs with the given default quantum.
+// The name picks the placement rule: "prio-rr" (the default when name is
+// empty) or "partitioned". An unknown name is a caller bug and panics.
+func New(name string, ncpu int, quantum simclock.Cycles) *Scheduler {
 	if ncpu < 1 {
 		panic("sched: need at least one CPU")
 	}
-	return multiQueue{
+	s := &Scheduler{
 		queues:  make([]runqueue, ncpu),
 		placed:  make([]int, ncpu),
 		quantum: quantum,
 	}
+	switch name {
+	case "", "prio-rr":
+	case "partitioned":
+		s.partitioned = true
+	default:
+		panic(fmt.Sprintf("sched: unknown policy %q", name))
+	}
+	return s
 }
 
-func (m *multiQueue) NumCPUs() int             { return len(m.queues) }
-func (m *multiQueue) Quantum() simclock.Cycles { return m.quantum }
-func (m *multiQueue) Queued(n *Node) bool      { return n.queued }
+// Quantum is the default time slice handed to a freshly picked node.
+func (s *Scheduler) Quantum() simclock.Cycles { return s.quantum }
 
-// SetObserver implements Observable.
-func (m *multiQueue) SetObserver(o Observer) { m.obs = o }
+// Queued reports whether the node is currently runnable.
+func (s *Scheduler) Queued(n *Node) bool { return n.queued }
 
-func (m *multiQueue) Rotate(cpu, prio int) {
-	m.queues[cpu].rotate(prio)
-	if m.obs != nil {
-		m.obs.Rotated(cpu, prio)
+// SetObserver installs the runqueue-transition hook (nil = none).
+func (s *Scheduler) SetObserver(o Observer) { s.obs = o }
+
+// Place assigns (or re-validates) the node's home CPU from its affinity
+// mask and returns it. Called once per node before its first Enqueue;
+// placement is stable thereafter.
+//
+// Under "prio-rr" the node goes to the least-loaded CPU its mask allows
+// (load = entities already homed there), lowest CPU id breaking ties,
+// and an already-placed node keeps its home while the mask still allows
+// it: symmetric guests balance across cores while pinning is honored,
+// and with one CPU this is exactly the paper's single run queue.
+//
+// Under "partitioned" — the static partitioning of mixed-criticality
+// hypervisors (Bao-style) — the node is pinned to the lowest CPU of its
+// mask, deterministically and permanently: no balancing, no migration,
+// so one partition's load can never perturb another's core. The paper's
+// intended Zynq deployment (guests on CPU0, the Hardware Task Manager
+// service on CPU1) is two one-bit masks under this rule.
+func (s *Scheduler) Place(n *Node) int {
+	mask := n.Affinity.Normalize(len(s.queues))
+	if s.partitioned {
+		return s.assign(n, mask.First())
+	}
+	if n.cpu >= 0 && mask.Has(n.cpu) {
+		return n.cpu
+	}
+	best := -1
+	for c := range s.queues {
+		if !mask.Has(c) {
+			continue
+		}
+		if best < 0 || s.placed[c] < s.placed[best] {
+			best = c
+		}
+	}
+	return s.assign(n, best)
+}
+
+// Rotate advances cpu's ring at the given priority after its head
+// exhausted a quantum.
+func (s *Scheduler) Rotate(cpu, prio int) {
+	s.queues[cpu].rotate(prio)
+	if s.obs != nil {
+		s.obs.Rotated(cpu, prio)
 	}
 }
 
-func (m *multiQueue) Dequeue(n *Node) {
+// Dequeue removes the node from its runqueue (suspend). Idempotent.
+func (s *Scheduler) Dequeue(n *Node) {
 	was := n.queued
-	m.queues[m.homeOf(n)].dequeue(n)
-	if was && !n.queued && m.obs != nil {
-		m.obs.Dequeued(n)
+	s.queues[s.homeOf(n)].dequeue(n)
+	if was && !n.queued && s.obs != nil {
+		s.obs.Dequeued(n)
 	}
 }
 
-func (m *multiQueue) Enqueue(n *Node) {
+// Enqueue makes the node runnable on its home CPU's queue, at the tail
+// of its priority ring. Idempotent.
+func (s *Scheduler) Enqueue(n *Node) {
 	was := n.queued
-	m.queues[m.homeOf(n)].enqueue(n)
-	if !was && n.queued && m.obs != nil {
-		m.obs.Enqueued(n)
+	s.queues[s.homeOf(n)].enqueue(n)
+	if !was && n.queued && s.obs != nil {
+		s.obs.Enqueued(n)
 	}
 }
 
-// Unplace implements Policy: the node leaves its runqueue and its home
-// CPU's placement count, so future Place calls no longer balance against
-// a retired entity.
-func (m *multiQueue) Unplace(n *Node) {
-	m.Dequeue(n)
-	if n.cpu >= 0 && n.cpu < len(m.placed) {
-		m.placed[n.cpu]--
+// Unplace retires the node for good: it leaves its runqueue and its
+// home CPU's placement count, so future Place calls no longer balance
+// against a retired entity.
+func (s *Scheduler) Unplace(n *Node) {
+	s.Dequeue(n)
+	if n.cpu >= 0 && n.cpu < len(s.placed) {
+		s.placed[n.cpu]--
 	}
 	n.cpu = -1
 }
 
-func (m *multiQueue) Pick(cpu int) *Node { return m.queues[cpu].pick() }
+// Pick returns the node to run next on cpu, or nil when the CPU's queue
+// is empty. Pick does not dequeue.
+func (s *Scheduler) Pick(cpu int) *Node { return s.queues[cpu].pick() }
 
 // RingLen counts runnable nodes at one priority level on one CPU.
-func (m *multiQueue) RingLen(cpu, prio int) int { return m.queues[cpu].ringLen(prio) }
+func (s *Scheduler) RingLen(cpu, prio int) int { return s.queues[cpu].ringLen(prio) }
 
 // QueueLen counts all runnable nodes on one CPU.
-func (m *multiQueue) QueueLen(cpu int) int { return m.queues[cpu].len() }
+func (s *Scheduler) QueueLen(cpu int) int { return s.queues[cpu].len() }
 
 // homeOf returns the node's home CPU, defaulting an unplaced node to 0
-// (a policy's Place should have run first; this keeps Dequeue total).
-func (m *multiQueue) homeOf(n *Node) int {
-	if n.cpu < 0 || n.cpu >= len(m.queues) {
+// (Place should have run first; this keeps Dequeue total).
+func (s *Scheduler) homeOf(n *Node) int {
+	if n.cpu < 0 || n.cpu >= len(s.queues) {
 		return 0
 	}
 	return n.cpu
 }
 
-func (m *multiQueue) assign(n *Node, cpu int) int {
-	if n.cpu >= 0 && n.cpu < len(m.placed) && n.cpu != cpu {
-		m.placed[n.cpu]--
+func (s *Scheduler) assign(n *Node, cpu int) int {
+	if n.cpu >= 0 && n.cpu < len(s.placed) && n.cpu != cpu {
+		s.placed[n.cpu]--
 	}
 	if n.cpu != cpu {
-		m.placed[cpu]++
+		s.placed[cpu]++
 	}
 	n.cpu = cpu
 	return cpu

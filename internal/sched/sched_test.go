@@ -14,12 +14,12 @@ func mkEnt(id, prio int, mask CPUMask) *ent {
 	return e
 }
 
-func place(t *testing.T, p Policy, e *ent) {
+func place(t *testing.T, p *Scheduler, e *ent) {
 	t.Helper()
 	p.Place(&e.node)
 }
 
-func pickID(p Policy, cpu int) int {
+func pickID(p *Scheduler, cpu int) int {
 	n := p.Pick(cpu)
 	if n == nil {
 		return -1
@@ -33,7 +33,7 @@ const (
 )
 
 func TestPickHighestPriority(t *testing.T) {
-	s := NewPrioRR(1, 1000)
+	s := New("prio-rr", 1, 1000)
 	low := mkEnt(0, prioGuest, 0)
 	high := mkEnt(1, prioService, 0)
 	for _, e := range []*ent{low, high} {
@@ -50,7 +50,7 @@ func TestPickHighestPriority(t *testing.T) {
 }
 
 func TestRoundRobinRotation(t *testing.T) {
-	s := NewPrioRR(1, 1000)
+	s := New("prio-rr", 1, 1000)
 	for i := 0; i < 3; i++ {
 		e := mkEnt(i, prioGuest, 0)
 		place(t, s, e)
@@ -66,7 +66,7 @@ func TestRoundRobinRotation(t *testing.T) {
 }
 
 func TestDequeueMidRing(t *testing.T) {
-	s := NewPrioRR(1, 1000)
+	s := New("prio-rr", 1, 1000)
 	var ents []*ent
 	for i := 0; i < 4; i++ {
 		e := mkEnt(i, prioGuest, 0)
@@ -90,7 +90,7 @@ func TestDequeueMidRing(t *testing.T) {
 }
 
 func TestDequeueHeadAdjusts(t *testing.T) {
-	s := NewPrioRR(1, 1000)
+	s := New("prio-rr", 1, 1000)
 	a, b := mkEnt(0, prioGuest, 0), mkEnt(1, prioGuest, 0)
 	for _, e := range []*ent{a, b} {
 		place(t, s, e)
@@ -107,7 +107,7 @@ func TestDequeueHeadAdjusts(t *testing.T) {
 }
 
 func TestDoubleEnqueueIdempotent(t *testing.T) {
-	s := NewPrioRR(1, 1000)
+	s := New("prio-rr", 1, 1000)
 	a := mkEnt(0, prioGuest, 0)
 	place(t, s, a)
 	s.Enqueue(&a.node)
@@ -125,7 +125,7 @@ func TestDoubleEnqueueIdempotent(t *testing.T) {
 func TestEnqueuePreservesRRWindow(t *testing.T) {
 	// A re-enqueued entity goes to the tail: the current head keeps its
 	// turn.
-	s := NewPrioRR(1, 1000)
+	s := New("prio-rr", 1, 1000)
 	a, b, c := mkEnt(0, prioGuest, 0), mkEnt(1, prioGuest, 0), mkEnt(2, prioGuest, 0)
 	for _, e := range []*ent{a, b} {
 		place(t, s, e)
@@ -149,7 +149,7 @@ func TestEnqueuePreservesRRWindow(t *testing.T) {
 }
 
 func TestPriorityChangeTakesEffectOnReenqueue(t *testing.T) {
-	s := NewPrioRR(1, 1000)
+	s := New("prio-rr", 1, 1000)
 	a, b := mkEnt(0, prioGuest, 0), mkEnt(1, prioGuest, 0)
 	for _, e := range []*ent{a, b} {
 		place(t, s, e)
@@ -170,7 +170,7 @@ func TestPriorityChangeTakesEffectOnReenqueue(t *testing.T) {
 // --- multi-CPU behavior ---------------------------------------------------
 
 func TestPrioRRBalancesPlacement(t *testing.T) {
-	s := NewPrioRR(2, 1000)
+	s := New("prio-rr", 2, 1000)
 	homes := map[int]int{}
 	for i := 0; i < 4; i++ {
 		e := mkEnt(i, prioGuest, 0) // any CPU
@@ -186,7 +186,7 @@ func TestPrioRRBalancesPlacement(t *testing.T) {
 }
 
 func TestPrioRRHonorsAffinity(t *testing.T) {
-	s := NewPrioRR(2, 1000)
+	s := New("prio-rr", 2, 1000)
 	// Load CPU1 with pinned entities, then place a free one: it must go
 	// to CPU0 (least loaded), and a CPU1-pinned one must stay on CPU1.
 	for i := 0; i < 3; i++ {
@@ -207,7 +207,7 @@ func TestPrioRRHonorsAffinity(t *testing.T) {
 }
 
 func TestPlacementStable(t *testing.T) {
-	s := NewPrioRR(2, 1000)
+	s := New("prio-rr", 2, 1000)
 	a := mkEnt(0, prioGuest, 0)
 	first := s.Place(&a.node)
 	// More load lands on the other CPU; re-placing must not migrate.
@@ -221,7 +221,7 @@ func TestPlacementStable(t *testing.T) {
 }
 
 func TestPartitionedPinsLowestMaskBit(t *testing.T) {
-	s := NewPartitioned(2, 1000)
+	s := New("partitioned", 2, 1000)
 	svc := mkEnt(0, prioService, MaskOf(1))
 	if got := s.Place(&svc.node); got != 1 {
 		t.Fatalf("service placed on CPU%d, want 1", got)
@@ -278,7 +278,7 @@ func TestCPUMaskHelpers(t *testing.T) {
 }
 
 func TestUnplaceReleasesPlacement(t *testing.T) {
-	s := NewPrioRR(2, 1000)
+	s := New("prio-rr", 2, 1000)
 	a, b := mkEnt(0, prioGuest, 0), mkEnt(1, prioGuest, 0)
 	s.Place(&a.node)
 	s.Place(&b.node) // one entity per CPU
@@ -296,10 +296,23 @@ func TestUnplaceReleasesPlacement(t *testing.T) {
 }
 
 func TestQuantumExposed(t *testing.T) {
-	if q := NewPrioRR(1, 12345).Quantum(); q != 12345 {
+	if q := New("prio-rr", 1, 12345).Quantum(); q != 12345 {
 		t.Errorf("Quantum = %d, want 12345", q)
 	}
-	if NewPartitioned(2, 7).Name() == NewPrioRR(2, 7).Name() {
-		t.Error("policies should be distinguishable by name")
+}
+
+// The empty name is prio-rr, and a name New does not know is a caller
+// bug: it panics instead of silently falling back to some placement.
+func TestNewByName(t *testing.T) {
+	s := New("", 2, 1000)
+	a, b := mkEnt(0, prioGuest, MaskOf(0, 1)), mkEnt(1, prioGuest, MaskOf(0, 1))
+	if s.Place(&a.node) != 0 || s.Place(&b.node) != 1 {
+		t.Errorf("default policy homes = %d/%d, want balanced 0/1", a.node.CPU(), b.node.CPU())
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("unknown policy name did not panic")
+		}
+	}()
+	New("round-robin", 2, 1000)
 }

@@ -2,7 +2,6 @@ package ucos
 
 import (
 	"repro/internal/abi"
-	"repro/internal/hwtask"
 	"repro/internal/pl"
 )
 
@@ -29,7 +28,7 @@ const (
 // nil and the status byte on Busy/Inval.
 func (t *Task) AcquireHw(taskID uint16) (*HwTask, uint32) {
 	g := t.OS.M.RequestHwTask(taskID)
-	if g.Status != hwtask.ReplyOK && g.Status != hwtask.ReplyReconfig {
+	if g.Status != abi.StatusOK && g.Status != abi.StatusReconfig {
 		return nil, g.Status
 	}
 	h := &HwTask{Grant: g, TaskID: taskID, doneSem: t.OS.SemCreate(0)}
@@ -37,7 +36,7 @@ func (t *Task) AcquireHw(taskID uint16) (*HwTask, uint32) {
 		sem := h.doneSem
 		t.OS.RegisterIRQ(g.IRQ, func(int) { sem.Post() })
 	}
-	if g.Status == hwtask.ReplyReconfig {
+	if g.Status == abi.StatusReconfig {
 		for {
 			st := t.OS.M.ReconfigStatus()
 			if st == abi.StatusFaulted {

@@ -58,8 +58,8 @@ type NativeMachine struct {
 
 // NewNativeMachine assembles the baseline system: machine, flat address
 // space, fabric with the paper's PRR layout, manager with the paper's
-// task set, and the given behavioural cores.
-func NewNativeMachine(cores map[uint16]pl.Accel) *NativeMachine {
+// task set, and the paper's behavioural cores.
+func NewNativeMachine() *NativeMachine {
 	clock := simclock.New()
 	bus := physmem.NewBus()
 	g := gic.New()
@@ -68,7 +68,7 @@ func NewNativeMachine(cores map[uint16]pl.Accel) *NativeMachine {
 	caps := hwtask.PaperPRRCapacities()
 	fabric := pl.NewFabric(clock, bus, g, caps)
 	//detlint:ordered RegisterCore is a keyed insert; registration order is unobservable
-	for id, core := range cores {
+	for id, core := range hwtask.PaperCores() {
 		fabric.RegisterCore(id, core)
 	}
 
@@ -250,9 +250,9 @@ func (nm *NativeMachine) RequestHwTask(taskID uint16) HwGrant {
 	d := nm.Clock.Now() - t0
 	nm.Probes.Add(measure.PhaseMgrExec, d)
 	g := HwGrant{
-		Status: hwtask.StatusOf(reply),
-		PRR:    hwtask.PRROf(reply),
-		IRQ:    hwtask.IRQOf(reply),
+		Status: abi.ReplyStatus(reply),
+		PRR:    abi.ReplyPRR(reply),
+		IRQ:    abi.ReplyIRQ(reply),
 		DataVA: uint32(nm.dataWin.Base),
 	}
 	if g.PRR >= 0 {

@@ -3,7 +3,6 @@ package ucos
 import (
 	"repro/internal/abi"
 	"repro/internal/cpu"
-	"repro/internal/hwtask"
 	"repro/internal/nova"
 	"repro/internal/simclock"
 )
@@ -142,13 +141,13 @@ func (m *VirtMachine) RequestHwTask(taskID uint16) HwGrant {
 	m.ifaceNext += 0x1000
 	reply := m.Env.Hypercall(abi.HcHwTaskRequest, uint32(taskID), iface, m.dataVA)
 	g := HwGrant{
-		Status:  hwtask.StatusOf(reply),
-		PRR:     hwtask.PRROf(reply),
-		IRQ:     hwtask.IRQOf(reply),
+		Status:  abi.ReplyStatus(reply),
+		PRR:     abi.ReplyPRR(reply),
+		IRQ:     abi.ReplyIRQ(reply),
 		IfaceVA: iface,
 		DataVA:  m.dataVA,
 	}
-	if g.Status != hwtask.ReplyOK && g.Status != hwtask.ReplyReconfig {
+	if g.Status != abi.StatusOK && g.Status != abi.StatusReconfig {
 		m.ifaceNext -= 0x1000 // nothing was mapped
 		g.IfaceVA = 0
 	}

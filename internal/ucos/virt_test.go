@@ -1,45 +1,27 @@
-package ucos
+package ucos_test
 
 import (
 	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/abi"
 	"repro/internal/hwtask"
 	"repro/internal/nova"
-	"repro/internal/pl"
-	"repro/internal/reconfig"
+	"repro/internal/scenario"
 	"repro/internal/simclock"
+	"repro/internal/ucos"
 )
 
-// virtSystem boots a Mini-NOVA kernel with the paper's fabric + manager
-// service and n uCOS guests configured by setup(i, os).
-func virtSystem(t *testing.T, n int, setup func(vm int, os *OS)) (*nova.Kernel, []*Guest) {
-	t.Helper()
-	k := nova.NewKernel()
-	caps := hwtask.PaperPRRCapacities()
-	fabric := pl.NewFabric(k.Clock, k.Bus, k.GIC, caps)
-	for id, core := range paperCores() {
-		fabric.RegisterCore(id, core)
-	}
-	k.AttachFabric(fabric, reconfig.DefaultConfig())
-
-	mgr := hwtask.NewManager(len(caps), nova.GuestUserBase+0x10_0000)
-	if err := hwtask.InstallTaskSet(mgr, k.Bus, nova.BitstreamStorePA(), caps); err != nil {
-		t.Fatal(err)
-	}
-	svc := hwtask.NewService(mgr, k)
-	svcPD := k.CreatePD(nova.PDConfig{
-		Name: "hwtm", Priority: nova.PrioService, Caps: nova.CapHwManager,
-		Guest: svc, CodeBase: nova.GuestUserBase, CodeSize: 8 << 10,
-		StartSuspended: true,
-	})
-	k.RegisterHwService(svcPD)
-
-	var guests []*Guest
+// virtSystem boots the standard single-core platform (kernel, paper
+// fabric, Hardware Task Manager service) and adds n uCOS guests
+// configured by setup(i, os).
+func virtSystem(n int, setup func(vm int, os *ucos.OS)) (*nova.Kernel, []*ucos.Guest) {
+	k := scenario.Build(scenario.Spec{}).Kernel
+	var guests []*ucos.Guest
 	for i := 0; i < n; i++ {
 		i := i
-		g := &Guest{GuestName: "ucos-vm", Setup: func(os *OS) { setup(i, os) }}
+		g := &ucos.Guest{GuestName: "ucos-vm", Setup: func(os *ucos.OS) { setup(i, os) }}
 		guests = append(guests, g)
 		k.CreatePD(nova.PDConfig{Name: g.GuestName, Priority: nova.PrioGuest, Guest: g})
 	}
@@ -47,8 +29,8 @@ func virtSystem(t *testing.T, n int, setup func(vm int, os *OS)) (*nova.Kernel, 
 }
 
 func TestVirtUCOSBootsAndTicks(t *testing.T) {
-	k, guests := virtSystem(t, 1, func(_ int, os *OS) {
-		os.TaskCreate("work", 10, func(task *Task) {
+	k, guests := virtSystem(1, func(_ int, os *ucos.OS) {
+		os.TaskCreate("work", 10, func(task *ucos.Task) {
 			for {
 				task.Exec(300)
 			}
@@ -69,9 +51,9 @@ func TestVirtUCOSBootsAndTicks(t *testing.T) {
 // coroutines must unwind with their PDs.
 func TestVirtShutdownTerminatesTasks(t *testing.T) {
 	before := runtime.NumGoroutine()
-	k, _ := virtSystem(t, 3, func(_ int, os *OS) {
+	k, _ := virtSystem(3, func(_ int, os *ucos.OS) {
 		for prio := 10; prio < 13; prio++ {
-			os.TaskCreate("loop", prio, func(task *Task) {
+			os.TaskCreate("loop", prio, func(task *ucos.Task) {
 				for {
 					task.Exec(200)
 					task.Delay(1)
@@ -87,8 +69,8 @@ func TestVirtShutdownTerminatesTasks(t *testing.T) {
 }
 
 func TestVirtUCOSPrintSupervised(t *testing.T) {
-	k, _ := virtSystem(t, 1, func(_ int, os *OS) {
-		os.TaskCreate("hello", 10, func(task *Task) {
+	k, _ := virtSystem(1, func(_ int, os *ucos.OS) {
+		os.TaskCreate("hello", 10, func(task *ucos.Task) {
 			task.Print("hello-virt")
 		})
 	})
@@ -102,8 +84,8 @@ func TestVirtUCOSPrintSupervised(t *testing.T) {
 func TestVirtHwTaskEndToEnd(t *testing.T) {
 	var status uint32 = 999
 	ran := false
-	k, _ := virtSystem(t, 1, func(_ int, os *OS) {
-		os.TaskCreate("hw", 10, func(task *Task) {
+	k, _ := virtSystem(1, func(_ int, os *ucos.OS) {
+		os.TaskCreate("hw", 10, func(task *ucos.Task) {
 			if _, ok := task.OS.M.SetupDataSection(64 << 10); !ok {
 				t.Error("data section setup failed")
 				return
@@ -118,7 +100,7 @@ func TestVirtHwTaskEndToEnd(t *testing.T) {
 	})
 	defer k.Shutdown()
 	k.RunFor(simclock.FromMillis(50))
-	if status != hwtask.ReplyReconfig {
+	if status != abi.StatusReconfig {
 		t.Fatalf("acquire status = %d, want Reconfig (cold PRR)", status)
 	}
 	if !ran {
@@ -136,8 +118,8 @@ func TestVirtTwoVMsShareHardwareTask(t *testing.T) {
 	// Both VMs use the same QAM task; the manager must hand the region
 	// back and forth with the consistency protocol of §IV-C.
 	results := make([]bool, 2)
-	k, _ := virtSystem(t, 2, func(vm int, os *OS) {
-		os.TaskCreate("hw", 10, func(task *Task) {
+	k, _ := virtSystem(2, func(vm int, os *ucos.OS) {
+		os.TaskCreate("hw", 10, func(task *ucos.Task) {
 			task.OS.M.SetupDataSection(64 << 10)
 			// Asymmetric backoff: two clients hammering the same task can
 			// reclaim it from each other between acquire and use (the
@@ -146,7 +128,7 @@ func TestVirtTwoVMsShareHardwareTask(t *testing.T) {
 			for try := 0; try < 60; try++ {
 				h, st := task.AcquireHw(hwtask.TaskQAM4)
 				if h == nil {
-					if st == hwtask.ReplyBusy {
+					if st == abi.StatusBusy {
 						task.Delay(uint32(2 + vm))
 						continue
 					}
@@ -177,8 +159,8 @@ func TestVirtIsolationHwTaskDMAConfined(t *testing.T) {
 	// get a DMA error, not a breach (§IV-C second principle).
 	var runOK bool
 	var errSeen bool
-	k, _ := virtSystem(t, 1, func(_ int, os *OS) {
-		os.TaskCreate("evil", 10, func(task *Task) {
+	k, _ := virtSystem(1, func(_ int, os *ucos.OS) {
+		os.TaskCreate("evil", 10, func(task *ucos.Task) {
 			task.OS.M.SetupDataSection(16 << 10)
 			h, _ := task.AcquireHw(hwtask.TaskQAM4)
 			if h == nil {
