@@ -37,22 +37,58 @@ func TestVGICLinesSorted(t *testing.T) {
 	if got := len(v.AllLines()); got != len(irqs) {
 		t.Errorf("all lines after disable = %d, want %d", got, len(irqs))
 	}
+}
 
-	// Two vGICs holding the same lines must list them identically
-	// whatever their registration history: registering in reverse order
-	// gives the same record list and the same enabled set.
-	rev := NewVGIC()
-	for i := len(irqs) - 1; i >= 0; i-- {
-		rev.Register(irqs[i])
-		if irqs[i] != 63 {
-			rev.Enable(irqs[i])
+// Applying a vGIC to the physical distributor the way worldSwitch does
+// (mask every held line, then unmask the enabled ones) must perform the
+// same ops in the same order for two vGICs holding the same lines,
+// whatever their registration history.
+func TestVGICApplyToGICDeterministic(t *testing.T) {
+	build := func(order []int) *VGIC {
+		v := NewVGIC()
+		for _, irq := range order {
+			v.Register(irq)
+			if irq%2 == 0 {
+				v.Enable(irq)
+			}
+		}
+		return v
+	}
+	apply := func(v *VGIC, g *gic.GIC) []int {
+		var ops []int
+		for _, irq := range v.AllLines() {
+			g.Disable(irq)
+			ops = append(ops, -irq)
+		}
+		for _, irq := range v.EnabledLines() {
+			g.Enable(irq)
+			ops = append(ops, irq)
+		}
+		return ops
+	}
+	fwd := []int{61, 62, 63, 64, 65, 66, 67, 68, 69, 70, 71, 72, 73, 74, 75, 76}
+	rev := slices.Clone(fwd)
+	slices.Reverse(rev)
+	a, b := build(fwd), build(rev)
+
+	ga, gb := gic.New(), gic.New()
+	opsA, opsB := apply(a, ga), apply(b, gb)
+	if want := len(fwd) + len(fwd)/2; len(opsA) != want {
+		t.Fatalf("ops = %d, want %d", len(opsA), want)
+	}
+	if !slices.Equal(opsA, opsB) {
+		t.Errorf("distributor op sequence diverged across registration orders:\n%v\n%v", opsA, opsB)
+	}
+	for _, irq := range fwd {
+		if ga.IsEnabled(irq) != gb.IsEnabled(irq) {
+			t.Errorf("irq %d enable state diverged across registration orders", irq)
+		}
+		if want := irq%2 == 0; ga.IsEnabled(irq) != want {
+			t.Errorf("irq %d enabled = %v, want %v", irq, ga.IsEnabled(irq), want)
 		}
 	}
-	if got, want := rev.AllLines(), v.AllLines(); !slices.Equal(got, want) {
-		t.Errorf("all lines diverged across registration orders: %v vs %v", got, want)
-	}
-	if got, want := rev.EnabledLines(), v.EnabledLines(); !slices.Equal(got, want) {
-		t.Errorf("enabled lines diverged across registration orders: %v vs %v", got, want)
+	if got, want := a.AllLines(), b.AllLines(); !slices.Equal(got, want) {
+		t.Errorf("record lists diverged: %v vs %v", got, want)
 	}
 }
 
