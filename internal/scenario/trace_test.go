@@ -2,6 +2,9 @@ package scenario
 
 import (
 	"encoding/json"
+	"fmt"
+	"hash/fnv"
+	"os"
 	"strings"
 	"testing"
 )
@@ -11,6 +14,13 @@ import (
 // state dump and checksum of the untraced run. Any trace emission that
 // advances a clock, perturbs a probe, or reorders a cross-core effect
 // diverges here.
+//
+// The trace stream itself is pinned too: each traced scenario's event
+// total and an FNV-64a digest of its Chrome export must match
+// testdata/trace_golden.txt, so a change to the instrumentation that
+// adds, drops or reorders an event fails here. If the drift is intended,
+// replace the file with the text the failure prints and explain why in
+// the change log.
 func TestTraceDoesNotPerturbChecksums(t *testing.T) {
 	specs := Suite(true)
 	traced := make([]Spec, len(specs))
@@ -20,8 +30,17 @@ func TestTraceDoesNotPerturbChecksums(t *testing.T) {
 	}
 	all := RunSuite(append(specs, traced...))
 	refs, gots := all[:len(specs)], all[len(specs):]
+	var pin strings.Builder
+	pin.WriteString("# short-suite trace stream: <scenario> <events emitted> <fnv64a of Chrome JSON>\n")
 	for i, ref := range refs {
 		got := gots[i]
+		raw, err := got.Trace.ChromeJSON()
+		if err != nil {
+			t.Fatalf("%s: ChromeJSON: %v", ref.Name, err)
+		}
+		h := fnv.New64a()
+		h.Write(raw)
+		fmt.Fprintf(&pin, "%s %d %016x\n", ref.Name, got.Trace.Total(), h.Sum64())
 		if got.TraceEvents == 0 {
 			t.Errorf("%s: traced run emitted no events", ref.Name)
 		}
@@ -33,6 +52,14 @@ func TestTraceDoesNotPerturbChecksums(t *testing.T) {
 		if got.Detail != ref.Detail {
 			t.Errorf("%s: traced state dump diverged with equal checksum (hash collision?)", ref.Name)
 		}
+	}
+	const path = "testdata/trace_golden.txt"
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading trace golden file: %v\nreplacement %s:\n%s", err, path, pin.String())
+	}
+	if string(want) != pin.String() {
+		t.Errorf("trace stream drifted from %s.\n--- want ---\n%s--- replacement %s ---\n%s", path, want, path, pin.String())
 	}
 }
 
