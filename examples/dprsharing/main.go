@@ -26,8 +26,7 @@ import (
 func main() {
 	// Dual-core: the contending VMs share core 0 while the Hardware Task
 	// Manager arbitrates from core 1.
-	k := nova.NewKernelSMP(2)
-	k.Sched = sched.New("partitioned", 2, simclock.FromMillis(nova.DefaultQuantumMs))
+	k := nova.NewKernelSMP(2, "partitioned", simclock.FromMillis(nova.DefaultQuantumMs))
 	defer k.Shutdown()
 
 	// One large PRR only: maximal contention for the shared task.

@@ -23,8 +23,7 @@ func main() {
 	// control VM owns core 1 outright while the batch guest soaks core 0
 	// — the partitioned-hypervisor arrangement that removes scheduling
 	// jitter from the control loop entirely.
-	k := nova.NewKernelSMP(2)
-	k.Sched = sched.New("partitioned", 2, simclock.FromMillis(nova.DefaultQuantumMs))
+	k := nova.NewKernelSMP(2, "partitioned", simclock.FromMillis(nova.DefaultQuantumMs))
 	defer k.Shutdown()
 
 	// Control VM: 1 kHz loop, must observe its tick within a tolerance.

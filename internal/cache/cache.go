@@ -276,8 +276,9 @@ const (
 	PenaltyLineWB = 10 // explicit clean of one dirty line
 )
 
-// Hierarchy bundles the A9's L1I, L1D and shared L2 and converts accesses
-// into cycle costs.
+// Hierarchy bundles one A9 core's L1I, L1D and L2 (the whole 512 KB L2
+// or the core's way-partitioned slice of it) and converts accesses into
+// cycle costs.
 type Hierarchy struct {
 	L1I *Cache
 	L1D *Cache
@@ -292,23 +293,6 @@ func NewA9Hierarchy() *Hierarchy {
 		L1D: New("L1D", 32<<10, 4),
 		L2:  New("L2", 512<<10, 8),
 	}
-}
-
-// NewA9SharedL2 returns n per-core hierarchies with private 32 KB L1s over
-// one shared 512 KB L2 — the Cortex-A9 MPCore memory system of the
-// dual-core Zynq-7000: cross-core interference shows up as L2 contention
-// while each core keeps its own L2 working set.
-func NewA9SharedL2(n int) []*Hierarchy {
-	l2 := New("L2", 512<<10, 8)
-	hs := make([]*Hierarchy, n)
-	for i := range hs {
-		hs[i] = &Hierarchy{
-			L1I: New("L1I", 32<<10, 4),
-			L1D: New("L1D", 32<<10, 4),
-			L2:  l2,
-		}
-	}
-	return hs
 }
 
 // NewA9WayPartitionedL2 returns n per-core hierarchies whose 512 KB L2 is

@@ -1,7 +1,9 @@
 // Package tracewriter enforces the trace-ring writer discipline on the
 // emit path in internal/trace: every method on the ring types (Ring,
-// Tracer) must be nil-receiver-safe. Instrumentation sites record
-// unconditionally (`k.tr.Core(i).Emit(...)` with tracing off), so a
+// Tracer) must be nil-receiver-safe. Every emitter — the kernel's
+// per-core sites, the vGICs and runqueue transitions through their
+// core, and the reconfiguration pipeline — records unconditionally
+// through a ring that is nil with tracing off (`c.ring.Emit(...)`), so a
 // method that touches receiver state must first bail on a nil receiver.
 //
 // A method may opt out with `//detlint:tracewriter <reason>` (for

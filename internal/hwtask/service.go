@@ -43,14 +43,8 @@ func (s *Service) RunSlice(env *nova.Env) {
 		// Opportunistically clear Loading flags for finished transfers:
 		// a region is done loading once the reconfiguration pipeline has
 		// nothing for it anywhere (fill, queue, or active download).
-		if rc := s.K.Reconfig; rc != nil {
-			for r := range s.M.PRRs {
-				if s.M.PRRs[r].Loading && !rc.InFlight(r) {
-					s.M.PRRs[r].Loading = false
-				}
-			}
-		} else if s.K.Fabric != nil && !s.K.Fabric.PCAP.Busy() {
-			for r := range s.M.PRRs {
+		for r := range s.M.PRRs {
+			if s.M.PRRs[r].Loading && !s.K.Reconfig.InFlight(r) {
 				s.M.PRRs[r].Loading = false
 			}
 		}

@@ -254,8 +254,9 @@ func (k *Kernel) CreateClone(img *checkpoint.Image, cfg CloneConfig) *PD {
 		}
 	}
 	k.populateCaps(pd, Capability(img.CapBits))
+	pd.VGIC.owner = pd
 	pd.node = sched.NewNode(pd, img.Priority, cfg.Affinity)
-	pd.Core = k.Cores[k.Sched.Place(&pd.node)]
+	pd.Core = k.Cores[k.sched.Place(&pd.node)]
 	pd.VCPU = VCPU{
 		Regs:        img.Regs,
 		TTBR:        uint32(pt.Base),
@@ -275,9 +276,6 @@ func (k *Kernel) CreateClone(img *checkpoint.Image, cfg CloneConfig) *PD {
 	k.guestWrapper(pd)
 
 	k.PDs = append(k.PDs, pd)
-	if k.Tracer != nil {
-		k.traceVGIC(pd)
-	}
 	// The O(metadata) fork charge: fixed base + one descriptor write per
 	// shared frame. Charged on the boot core's clock — forks happen at
 	// engine-stopped points (pool operations), like boot-time CreatePD.
@@ -320,7 +318,7 @@ func (k *Kernel) DestroyClone(pd *PD) error {
 	pd.stop()
 	pd.dead = true
 	k.parkVirtualTimer(pd)
-	k.Sched.Unplace(&pd.node)
+	k.unplace(pd)
 	if pd.Core.Current == pd {
 		pd.Core.Current = nil
 	}
@@ -382,9 +380,7 @@ func (e *Env) ResumeSuspendExit() {
 	t0 := pd.lastHcEntry
 	d := since(c.Clock.Now(), t0)
 	k.Probes.Add(measure.PhaseHypercall, c.Clock.Now()-t0)
-	if k.Tracer != nil {
-		k.Tracer.Core(c.ID).EmitSpan(t0, d, trace.KindHypercall, 0, uint64(abi.HcSuspend), uint64(abi.StatusOK))
-	}
+	c.ring.EmitSpan(t0, d, trace.KindHypercall, 0, uint64(abi.HcSuspend), uint64(abi.StatusOK))
 	c.Clock.Advance(cpu.CostExceptionReturn)
 	c.CPU.Regs = pd.VCPU.Regs
 	c.CPU.Regs.R[0] = abi.StatusOK

@@ -4,6 +4,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/simclock"
 	"repro/internal/timer"
+	"repro/internal/trace"
 )
 
 // CoreCtx is one simulated Cortex-A9 core as the kernel sees it: the
@@ -21,6 +22,11 @@ type CoreCtx struct {
 	// Clock; on a multi-core machine the other cores advance their own
 	// cursors independently between epoch barriers.
 	Clock *simclock.Clock
+
+	// ring is this core's trace ring, nil when tracing is off. Every
+	// event that happens on this core is emitted through it
+	// unconditionally; a nil ring swallows the event.
+	ring *trace.Ring
 
 	// Current is the PD whose context is live on this core. It stays
 	// resident across the interleaved run loop's window boundaries —
@@ -74,15 +80,45 @@ func (k *Kernel) runCore(c *CoreCtx, until simclock.Cycles) bool {
 // retired PDs on the way; nil when c has nothing runnable.
 func (k *Kernel) pickLive(c *CoreCtx) *PD {
 	for {
-		n := k.Sched.Pick(c.ID)
+		n := k.sched.Pick(c.ID)
 		if n == nil {
 			return nil
 		}
-		if pd := n.Owner.(*PD); !pd.dead {
+		pd := n.Owner.(*PD)
+		if !pd.dead {
 			return pd
 		}
-		k.Sched.Dequeue(n)
+		k.dequeue(pd)
 	}
+}
+
+// enqueue makes pd runnable on its home core's runqueue, recording a
+// sched_wake on that core when pd was not already queued.
+func (k *Kernel) enqueue(pd *PD) {
+	if pd.node.Queued() {
+		return
+	}
+	k.sched.Enqueue(&pd.node)
+	c := pd.Core
+	c.ring.Emit(c.Clock.Now(), trace.KindSchedWake, 0, uint64(pd.ID), uint64(pd.Priority))
+}
+
+// dequeue takes pd off its runqueue (suspend), recording a sched_block
+// on its home core when pd was queued.
+func (k *Kernel) dequeue(pd *PD) {
+	if !pd.node.Queued() {
+		return
+	}
+	k.sched.Dequeue(&pd.node)
+	c := pd.Core
+	c.ring.Emit(c.Clock.Now(), trace.KindSchedBlock, 0, uint64(pd.ID), 0)
+}
+
+// unplace retires pd from scheduling for good: it leaves its runqueue
+// and its home core's placement count.
+func (k *Kernel) unplace(pd *PD) {
+	k.dequeue(pd)
+	k.sched.Unplace(&pd.node)
 }
 
 // activate hands core c to pd and returns when the PD yields or its

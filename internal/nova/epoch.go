@@ -61,11 +61,11 @@ func (k *Kernel) drainCommits() {
 		k.committer.Commit()
 	}
 	k.inCommit = false
-	if fired := k.committer.Commits - before; fired > 0 && k.Tracer != nil {
+	if fired := k.committer.Commits - before; fired > 0 {
 		// One event per non-empty barrier on core 0's ring (the commit
 		// replay is single-threaded, so writing ring 0 here is safe).
-		k.Tracer.Core(0).Emit(k.Cores[0].Clock.Now(),
-			trace.KindEpochCommit, 0, k.Epochs, fired)
+		c := k.Cores[0]
+		c.ring.Emit(c.Clock.Now(), trace.KindEpochCommit, 0, k.Epochs, fired)
 	}
 	k.refreshPRRSnapshot()
 }
@@ -132,7 +132,7 @@ func (k *Kernel) runEpochs(until simclock.Cycles) {
 			}
 			allDone = false
 			ct := farFuture
-			if k.Sched.Pick(c.ID) != nil {
+			if k.sched.Pick(c.ID) != nil {
 				ct = c.Clock.Now()
 			} else if d, ok := c.Clock.NextDeadline(); ok {
 				ct = d
@@ -157,7 +157,7 @@ func (k *Kernel) runEpochs(until simclock.Cycles) {
 			}
 			break
 		}
-		w := t/k.Epoch*k.Epoch + k.Epoch
+		w := t/DefaultEpoch*DefaultEpoch + DefaultEpoch
 		if w > until {
 			w = until
 		}
@@ -221,7 +221,7 @@ func (k *Kernel) runCoreEpoch(c *CoreCtx, pd *PD, w simclock.Cycles) {
 	c.needResched = false
 	c.quantumExpired = false
 	if pd.VCPU.QuantumLeft == 0 {
-		pd.VCPU.QuantumLeft = k.Sched.Quantum()
+		pd.VCPU.QuantumLeft = k.sched.Quantum()
 	}
 	c.Timer.Start(pd.VCPU.QuantumLeft, true)
 	stop := c.Clock.At(w, func(simclock.Cycles) { c.needResched = true })
@@ -236,8 +236,9 @@ func (k *Kernel) runCoreEpoch(c *CoreCtx, pd *PD, w simclock.Cycles) {
 
 	if c.quantumExpired || elapsed >= pd.VCPU.QuantumLeft {
 		pd.VCPU.QuantumLeft = 0
-		if k.Sched.Queued(&pd.node) {
-			k.Sched.Rotate(c.ID, pd.Priority)
+		if pd.node.Queued() {
+			k.sched.Rotate(c.ID, pd.Priority)
+			c.ring.Emit(c.Clock.Now(), trace.KindSchedRotate, 0, uint64(pd.Priority), 0)
 		}
 	} else {
 		pd.VCPU.QuantumLeft -= elapsed

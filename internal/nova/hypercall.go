@@ -99,9 +99,7 @@ func (k *Kernel) onSWI(c *CoreCtx, sel int, args [4]uint32) uint32 {
 	}
 	d := since(c.Clock.Now(), t0)
 	k.Probes.Add(measure.PhaseHypercall, c.Clock.Now()-t0)
-	if k.Tracer != nil {
-		k.Tracer.Core(c.ID).EmitSpan(t0, d, trace.KindHypercall, 0, uint64(sel), uint64(ret))
-	}
+	c.ring.EmitSpan(t0, d, trace.KindHypercall, 0, uint64(sel), uint64(ret))
 	return ret
 }
 
@@ -232,10 +230,7 @@ func (k *Kernel) hcHwTaskRequest(c *CoreCtx, pd *PD, kind HwRequestKind, args [4
 		k.hwQueue = append(k.hwQueue, req)
 		k.hwByID[req.ID] = req
 		c.kctx.Touch(KernelDataVA+0x9000+(req.ID%64)*16, true) // queue slot
-		if k.Tracer != nil {
-			k.Tracer.Core(c.ID).Emit(c.Clock.Now(), trace.KindHwReqSubmit,
-				uint64(req.ID), uint64(req.TaskID), uint64(pd.ID))
-		}
+		c.ring.Emit(c.Clock.Now(), trace.KindHwReqSubmit, uint64(req.ID), uint64(req.TaskID), uint64(pd.ID))
 
 		// Arm the Table III "HW Manager entry" probe: from this hypercall
 		// (exception entry) to the manager fetching the request. When several
@@ -275,12 +270,10 @@ func (k *Kernel) hcHwTaskRequest(c *CoreCtx, pd *PD, kind HwRequestKind, args [4
 		req.ID = k.nextReqID
 		k.hwQueue = append(k.hwQueue, req)
 		k.hwByID[req.ID] = req
-		if k.Tracer != nil {
-			// The ID is drawn here, inside the barrier commit; emit the
-			// submit on the manager core's ring (commits own every ring).
-			k.Tracer.Core(k.hwSvc.Core.ID).Emit(k.hwSvc.Core.Clock.Now(),
-				trace.KindHwReqSubmit, uint64(req.ID), uint64(req.TaskID), uint64(pd.ID))
-		}
+		// The ID is drawn here, inside the barrier commit; emit the
+		// submit on the manager core's ring (commits own every ring).
+		mc := k.hwSvc.Core
+		mc.ring.Emit(mc.Clock.Now(), trace.KindHwReqSubmit, uint64(req.ID), uint64(req.TaskID), uint64(pd.ID))
 		if !k.mgrEntryArmed {
 			k.mgrEntryFrom = k.hwSvc.Core.Clock.Now()
 			k.mgrEntryArmed = true
@@ -303,9 +296,6 @@ func (k *Kernel) hcHwTaskStatus(c *CoreCtx, pd *PD, _ uint32) uint32 {
 	c.Clock.Advance(CostDeviceAccess)
 	if k.Fabric == nil {
 		return abi.StatusErr
-	}
-	if k.Reconfig == nil {
-		return abi.StatusOK
 	}
 	if pd.Core == k.reconfigCore() {
 		if k.Reconfig.PendingFor(pd) {
@@ -390,9 +380,7 @@ func (k *Kernel) hcPortalCall(c *CoreCtx, pd *PD, sel int, word uint32) uint32 {
 	pd.Env.block() // resumes when the callee replies
 	d := since(c.Clock.Now(), t0)
 	k.Probes.Add(measure.PhaseIPCCall, d)
-	if k.Tracer != nil {
-		k.Tracer.Core(c.ID).EmitSpan(t0, d, trace.KindIPCCall, 0, uint64(pd.ID), uint64(to.ID))
-	}
+	c.ring.EmitSpan(t0, d, trace.KindIPCCall, 0, uint64(pd.ID), uint64(to.ID))
 	return pd.ipcReply
 }
 
@@ -499,9 +487,7 @@ func (k *Kernel) mgrNextRequest(c *CoreCtx, pd *PD) uint32 {
 	req := k.hwQueue[0]
 	k.hwQueue = k.hwQueue[1:]
 	c.kctx.Touch(KernelDataVA+0x9000+(req.ID%64)*16, false)
-	if k.Tracer != nil {
-		k.Tracer.Core(c.ID).Emit(c.Clock.Now(), trace.KindHwReqFetch, uint64(req.ID), uint64(req.TaskID), 0)
-	}
+	c.ring.Emit(c.Clock.Now(), trace.KindHwReqFetch, uint64(req.ID), uint64(req.TaskID), 0)
 	if k.mgrEntryArmed {
 		k.Probes.Add(measure.PhaseMgrEntry, since(c.Clock.Now(), k.mgrEntryFrom))
 		k.mgrEntryArmed = false
@@ -525,9 +511,7 @@ func (k *Kernel) mgrComplete(c *CoreCtx, pd *PD, reqID, status uint32) uint32 {
 	}
 	req.reply = status
 	req.replied = true
-	if k.Tracer != nil {
-		k.Tracer.Core(c.ID).Emit(c.Clock.Now(), trace.KindHwReqComplete, uint64(reqID), uint64(status), 0)
-	}
+	c.ring.Emit(c.Clock.Now(), trace.KindHwReqComplete, uint64(reqID), uint64(status), 0)
 	if k.mgrExecArmed {
 		k.Probes.Add(measure.PhaseMgrExec, c.Clock.Now()-k.mgrExecFrom)
 		k.mgrExecArmed = false
@@ -726,7 +710,7 @@ func (k *Kernel) mgrHwMMULoad(c *CoreCtx, client *PD, prr int) uint32 {
 // connected to the VM which launches the current transfer", §IV-D).
 func (k *Kernel) mgrPCAPStart(c *CoreCtx, reqID, srcOff, length uint32, prr int, store regionWindow) uint32 {
 	req, ok := k.hwByID[reqID]
-	if !ok || k.Fabric == nil || k.Reconfig == nil {
+	if !ok || k.Fabric == nil {
 		return abi.StatusInval
 	}
 	// Overflow-safe store-bounds check against the region capability:
@@ -739,9 +723,8 @@ func (k *Kernel) mgrPCAPStart(c *CoreCtx, reqID, srcOff, length uint32, prr int,
 	// below adds qosFaultWeight). The client is parked in hcHwTaskRequest
 	// for the whole acquire, so its guard state is quiescent and may be
 	// charged from the manager's core.
-	if pd.breaker.Charge(c.Clock.Now(), 1) && k.Tracer != nil {
-		k.Tracer.Core(c.ID).Emit(c.Clock.Now(), trace.KindBreakerTrip,
-			uint64(reqID), uint64(pd.ID), pd.breaker.Trips)
+	if pd.breaker.Charge(c.Clock.Now(), 1) {
+		c.ring.Emit(c.Clock.Now(), trace.KindBreakerTrip, uint64(reqID), uint64(pd.ID), pd.breaker.Trips)
 	}
 	k.Reconfig.Submit(&reconfig.Request{
 		Key:      srcOff,
@@ -787,8 +770,8 @@ func (k *Kernel) mgrPCAPStart(c *CoreCtx, reqID, srcOff, length uint32, prr int,
 			fail := func() {
 				pd.reconfigFault = true
 				now := mc.Clock.Now()
-				if pd.breaker.Charge(now, qosFaultWeight) && k.Tracer != nil {
-					k.Tracer.Core(mc.ID).Emit(now, trace.KindBreakerTrip,
+				if pd.breaker.Charge(now, qosFaultWeight) {
+					mc.ring.Emit(now, trace.KindBreakerTrip,
 						r.Flow, uint64(pd.ID), pd.breaker.Trips)
 				}
 			}

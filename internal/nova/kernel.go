@@ -41,8 +41,8 @@ type guestKill struct{}
 // between the simulated Zynq PS/PL hardware and the protection domains it
 // hosts (paper Fig. 1). The kernel owns one CoreCtx per simulated
 // Cortex-A9 core — the paper's evaluation pins everything on CPU0
-// (NewKernel), while NewKernelSMP(2) models the full dual-core part with
-// per-core runqueues and SGI-based cross-core reschedule.
+// (NewKernel), while NewKernelSMP(2, ...) models the full dual-core part
+// with per-core runqueues and SGI-based cross-core reschedule.
 type Kernel struct {
 	Clock *simclock.Clock
 	Bus   *physmem.Bus
@@ -60,9 +60,9 @@ type Kernel struct {
 	Reconfig *reconfig.Pipeline
 	Alloc    *mmu.FrameAllocator
 
-	// Sched is the scheduler (per-CPU runqueues). Replace it before
-	// creating any PD (its CPU count must match len(Cores)).
-	Sched  *sched.Scheduler
+	// sched is the scheduler (per-CPU runqueues), built by NewKernelSMP
+	// for exactly len(Cores) CPUs.
+	sched  *sched.Scheduler
 	Probes *measure.Set
 
 	// Tracer is the structured-event tracing layer (nil = disabled, the
@@ -73,10 +73,9 @@ type Kernel struct {
 
 	PDs []*PD
 
-	// Epoch is the barrier interval of the multi-core run loop (see
-	// DefaultEpoch); Epochs counts barrier windows executed, for the
-	// idle fast-forward diagnostics (not part of any scenario digest).
-	Epoch  simclock.Cycles
+	// Epochs counts barrier windows of the multi-core run loop executed
+	// (see DefaultEpoch), for the idle fast-forward diagnostics (not part
+	// of any scenario digest).
 	Epochs uint64
 
 	kernelPT *mmu.PageTable
@@ -158,17 +157,21 @@ type Kernel struct {
 }
 
 // NewKernel boots a Mini-NOVA kernel on a fresh single-core machine — the
-// paper's CPU0-only configuration.
-func NewKernel() *Kernel { return NewKernelSMP(1) }
+// paper's CPU0-only configuration, scheduled prio-rr with the default
+// quantum.
+func NewKernel() *Kernel {
+	return NewKernelSMP(1, "prio-rr", simclock.FromMillis(DefaultQuantumMs))
+}
 
 // NewKernelSMP boots a Mini-NOVA kernel on a machine with ncores
 // simulated Cortex-A9 cores: shared bus, per-core clock cursors, L1
 // caches, TLBs, private timers and GIC CPU interfaces — the dual-core
 // Zynq-7000 at ncores == 2. Clock aliases core 0's clock; on a
-// single-core machine it is the only one. A multi-core machine carries
-// way-partitioned L2 slices, so no core's cache state depends on the
-// order the engine runs the cores in within an epoch.
-func NewKernelSMP(ncores int) *Kernel {
+// single-core machine it is the only one. Each core owns a
+// way-partitioned L2 slice (the whole L2 on one core), so no core's
+// cache state depends on the order the engine runs the cores in within
+// an epoch. The scheduler is sched.New(policy, ncores, quantum).
+func NewKernelSMP(ncores int, policy string, quantum simclock.Cycles) *Kernel {
 	if ncores < 1 {
 		panic("nova: need at least one core")
 	}
@@ -180,9 +183,8 @@ func NewKernelSMP(ncores int) *Kernel {
 		Bus:      bus,
 		GIC:      g,
 		Alloc:    mmu.NewFrameAllocator(physTables, 8<<20),
-		Sched:    sched.New("prio-rr", ncores, simclock.FromMillis(DefaultQuantumMs)),
+		sched:    sched.New(policy, ncores, quantum),
 		Probes:   measure.NewSet(),
-		Epoch:    DefaultEpoch,
 		hwByID:   make(map[uint32]*HwRequest),
 		sd:       make(map[uint32][]byte),
 		asidNext: 1,
@@ -206,10 +208,7 @@ func NewKernelSMP(ncores int) *Kernel {
 	k.rootSpace.Insert(rootSelPCAP, k.pcapObj, capspace.RightsAll)
 	k.rootSpace.Insert(rootSelStore, k.storeObj, capspace.RightsAll)
 
-	hier := cache.NewA9SharedL2(1)
-	if ncores > 1 {
-		hier = cache.NewA9WayPartitionedL2(ncores)
-	}
+	hier := cache.NewA9WayPartitionedL2(ncores)
 	for i := 0; i < ncores; i++ {
 		cclk := clock
 		if i > 0 {
@@ -271,9 +270,6 @@ func (k *Kernel) AttachFabric(f *pl.Fabric, cfg reconfig.Config) {
 	k.Fabric = f
 	k.Reconfig = reconfig.New(k.Clock, f, k.Bus, BitstreamStorePA(), cfg)
 	k.Reconfig.Probes = k.Probes
-	if k.Tracer != nil {
-		k.Reconfig.Trace = k.Tracer.Core(k.reconfigCore().ID)
-	}
 	// Mint one hardware-task slot object per PRR into the root space.
 	if len(f.PRRs) > maxPRRSlots {
 		panic(fmt.Sprintf("nova: %d PRRs exceed the %d-selector hw-slot window", len(f.PRRs), maxPRRSlots))
@@ -286,31 +282,26 @@ func (k *Kernel) AttachFabric(f *pl.Fabric, cfg reconfig.Config) {
 	}
 	if k.hwSvc != nil {
 		k.delegateManagerPowers(k.hwSvc)
-		k.bindManagerClocks()
 	}
+	k.bindManagerClocks()
 }
 
-// bindManagerClocks pins the reconfiguration machinery to the manager
-// service's home core on a multi-core machine: the PCAP completion line
-// targets that core's GIC bank, and the fabric/pipeline default clocks
-// become that core's cursor, so reconfiguration events fire on the core
-// that owns them.
+// bindManagerClocks pins the reconfiguration machinery to reconfigCore,
+// the manager service's home core once one is registered: on a
+// multi-core machine the PCAP completion line targets that core's GIC
+// bank, and the fabric and pipeline run on that core's clock and record
+// into its ring, so reconfiguration events fire, and are traced, on the
+// core that owns them. It is the one place that sets the pipeline's
+// clock and ring.
 func (k *Kernel) bindManagerClocks() {
-	if len(k.Cores) == 1 || k.hwSvc == nil {
-		return
-	}
-	clk := k.hwSvc.Core.Clock
-	k.GIC.SetTarget(gic.PCAPIRQ, k.hwSvc.Core.ID)
-	if k.Fabric != nil {
-		k.Fabric.Clock = clk
+	c := k.reconfigCore()
+	if len(k.Cores) > 1 && k.hwSvc != nil {
+		k.GIC.SetTarget(gic.PCAPIRQ, c.ID)
 	}
 	if k.Reconfig != nil {
-		k.Reconfig.Clock = clk
-		if k.Tracer != nil {
-			// The pipeline's events fire on the manager's core now; move
-			// its ring along with its clock.
-			k.Reconfig.Trace = k.Tracer.Core(k.hwSvc.Core.ID)
-		}
+		k.Fabric.Clock = c.Clock
+		k.Reconfig.Clock = c.Clock
+		k.Reconfig.Trace = c.ring
 	}
 }
 
@@ -416,12 +407,13 @@ func (k *Kernel) CreatePD(cfg PDConfig) *PD {
 	if k.qosOn {
 		k.initQoS(pd)
 	}
+	pd.VGIC.owner = pd
 	pd.node = sched.NewNode(pd, cfg.Priority, cfg.Affinity)
-	pd.Core = k.Cores[k.Sched.Place(&pd.node)]
+	pd.Core = k.Cores[k.sched.Place(&pd.node)]
 	pd.VCPU.TTBR = uint32(pd.Table.Base)
 	pd.VCPU.ASID = pd.ASID
 	pd.VCPU.DACR = dacrFor(true) // guests boot in guest-kernel context
-	pd.VCPU.QuantumLeft = k.Sched.Quantum()
+	pd.VCPU.QuantumLeft = k.sched.Quantum()
 
 	ctx := cpu.NewExecContext(pd.Core.CPU, cfg.Name, cfg.CodeBase, cfg.CodeSize)
 	pd.Env = &Env{K: k, PD: pd, Ctx: ctx}
@@ -429,11 +421,8 @@ func (k *Kernel) CreatePD(cfg PDConfig) *PD {
 	k.guestWrapper(pd)
 
 	k.PDs = append(k.PDs, pd)
-	if k.Tracer != nil {
-		k.traceVGIC(pd)
-	}
 	if !cfg.StartSuspended {
-		k.Sched.Enqueue(&pd.node)
+		k.enqueue(pd)
 	}
 	return pd
 }
@@ -499,7 +488,7 @@ func (k *Kernel) guestWrapper(pd *PD) {
 		// parked on the dead PD (queued, or awaiting its reply) would block
 		// forever — fail them out.
 		pd.dead = true
-		k.Sched.Unplace(&pd.node)
+		k.unplace(pd)
 		k.failPortalCallers(pd)
 		k.reconfigPurge(pd)
 	})
@@ -561,7 +550,7 @@ func (e *Env) CheckPreempt() {
 // Block suspends the calling PD until another event re-enqueues it. Used
 // by kernel handlers running in the caller's coroutine.
 func (e *Env) block() {
-	e.K.Sched.Dequeue(&e.PD.node)
+	e.K.dequeue(e.PD)
 	e.PD.Core.needResched = true
 	e.yield()
 }
@@ -733,13 +722,11 @@ func (k *Kernel) worldSwitch(c *CoreCtx, next *PD) {
 	next.Switches++
 	d := c.Clock.Now() - t0
 	k.Probes.Add(measure.PhaseVMSwitch, d)
-	if k.Tracer != nil {
-		prevID := uint64(0) // 0 = idle; PD ids are shifted by one
-		if prev != nil {
-			prevID = uint64(prev.ID) + 1
-		}
-		k.Tracer.Core(c.ID).EmitSpan(t0, d, trace.KindVMSwitch, 0, prevID, uint64(next.ID)+1)
+	prevID := uint64(0) // 0 = idle; PD ids are shifted by one
+	if prev != nil {
+		prevID = uint64(prev.ID) + 1
 	}
+	c.ring.EmitSpan(t0, d, trace.KindVMSwitch, 0, prevID, uint64(next.ID)+1)
 }
 
 // onUndef handles undefined-instruction traps: privileged-op emulation and
@@ -897,7 +884,7 @@ func (k *Kernel) maybePreemptFor(pd *PD) {
 	// core from the wake; a blocked one (including the woken PD itself,
 	// resident but just re-enqueued) will be rescheduled anyway.
 	cur := target.Current
-	if cur != nil && cur != pd && k.Sched.Queued(&cur.node) && pd.Priority <= cur.Priority {
+	if cur != nil && cur != pd && cur.node.Queued() && pd.Priority <= cur.Priority {
 		return
 	}
 	if k.inCommit {
@@ -914,7 +901,7 @@ func (k *Kernel) wake(pd *PD) {
 		return
 	}
 	pd.node.Priority = pd.Priority
-	k.Sched.Enqueue(&pd.node)
+	k.enqueue(pd)
 	k.maybePreemptFor(pd)
 }
 

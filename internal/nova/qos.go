@@ -101,10 +101,7 @@ func (k *Kernel) admitHwRequest(c *CoreCtx, pd *PD) uint32 {
 		return abi.StatusRetry
 	}
 	if !pd.bucket.Take(now) {
-		if k.Tracer != nil {
-			k.Tracer.Core(c.ID).Emit(now, trace.KindQoSThrottle,
-				0, uint64(pd.ID), pd.bucket.Denials)
-		}
+		c.ring.Emit(now, trace.KindQoSThrottle, 0, uint64(pd.ID), pd.bucket.Denials)
 		return abi.StatusThrottled
 	}
 	return abi.StatusOK

@@ -13,9 +13,7 @@ import (
 
 // dualKernel boots a 2-core kernel with a partitioned scheduler.
 func dualKernel() *Kernel {
-	k := NewKernelSMP(2)
-	k.Sched = sched.New("partitioned", 2, simclock.FromMillis(DefaultQuantumMs))
-	return k
+	return NewKernelSMP(2, "partitioned", simclock.FromMillis(DefaultQuantumMs))
 }
 
 func TestSMPPartitionedGuestsBothProgress(t *testing.T) {

@@ -1,18 +1,21 @@
 package nova
 
 import (
-	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/trace"
 )
 
-// Tracing wiring: EnableTrace attaches per-core bounded event rings to the
-// kernel, then points every instrumented subsystem
-// (scheduler, vGICs, reconfiguration pipeline) at them. Tracing is
-// strictly read-only with respect to simulated state — no emission ever
-// advances a clock, touches a probe the scenario digest hashes, or
-// iterates a map — so a traced run produces byte-identical scenario
-// checksums to an untraced one.
+// Tracing wiring: each core's ring (CoreCtx.ring) is the one way the
+// kernel records an event. Hypercall and IPC spans, world switches,
+// runqueue transitions, vGIC transitions (through the owning PD's core),
+// hardware-request and QoS events and epoch commits are emitted through
+// it unconditionally, and the reconfiguration pipeline records into the
+// ring of the core it runs on (bindManagerClocks). With tracing off every
+// ring is nil and swallows the event. Tracing is strictly read-only with
+// respect to simulated state — no emission ever advances a clock,
+// touches a probe the scenario digest hashes, or iterates a map — so a
+// traced run produces byte-identical scenario checksums to an untraced
+// one.
 //
 // Ring writer discipline: each per-core ring is written only on behalf of
 // its own core — mid-epoch while that core runs, at the barrier by the
@@ -20,8 +23,7 @@ import (
 
 // EnableTrace switches tracing on with trace.DefaultCapacity-event rings
 // per core. Idempotent: a second call returns the existing tracer. Call
-// it before guests run so rings catch the whole scenario; PDs created
-// afterwards are hooked up automatically.
+// it before guests run so rings catch the whole scenario.
 func (k *Kernel) EnableTrace() *trace.Tracer {
 	if k.Tracer != nil {
 		return k.Tracer
@@ -35,13 +37,10 @@ func (k *Kernel) EnableTrace() *trace.Tracer {
 		return ""
 	}
 	k.Tracer = t
-	k.Sched.SetObserver(kernelSchedObserver{k})
-	for _, pd := range k.PDs {
-		k.traceVGIC(pd)
+	for _, c := range k.Cores {
+		c.ring = t.Core(c.ID)
 	}
-	if k.Reconfig != nil {
-		k.Reconfig.Trace = t.Core(k.reconfigCore().ID)
-	}
+	k.bindManagerClocks()
 	return t
 }
 
@@ -54,60 +53,11 @@ func (k *Kernel) portalName(sel int) string {
 	return ""
 }
 
-// kernelSchedObserver forwards runqueue transitions into the owning
-// core's ring. Under the kernel's discipline every Enqueue/Dequeue runs
-// on the node's home core or inside the single-threaded barrier commit,
-// both of which may write that core's ring.
-type kernelSchedObserver struct{ k *Kernel }
-
-func (o kernelSchedObserver) Enqueued(n *sched.Node) {
-	pd, ok := n.Owner.(*PD)
-	if !ok || pd.Core == nil {
-		return
-	}
-	o.k.Tracer.Core(pd.Core.ID).Emit(pd.Core.Clock.Now(),
-		trace.KindSchedWake, 0, uint64(pd.ID), uint64(pd.Priority))
-}
-
-func (o kernelSchedObserver) Dequeued(n *sched.Node) {
-	pd, ok := n.Owner.(*PD)
-	if !ok || pd.Core == nil {
-		return
-	}
-	o.k.Tracer.Core(pd.Core.ID).Emit(pd.Core.Clock.Now(),
-		trace.KindSchedBlock, 0, uint64(pd.ID), 0)
-}
-
-func (o kernelSchedObserver) Rotated(cpu, prio int) {
-	if cpu < 0 || cpu >= len(o.k.Cores) {
-		return
-	}
-	o.k.Tracer.Core(cpu).Emit(o.k.Cores[cpu].Clock.Now(),
-		trace.KindSchedRotate, 0, uint64(prio), 0)
-}
-
-// traceVGIC points one PD's vGIC transition hook at its core's ring.
-func (k *Kernel) traceVGIC(pd *PD) {
-	if pd.VGIC == nil {
-		return
-	}
-	pd.VGIC.Trace = func(kind trace.Kind, irq int) {
-		if pd.Core == nil {
-			return
-		}
-		k.Tracer.Core(pd.Core.ID).Emit(pd.Core.Clock.Now(),
-			kind, 0, uint64(irq), uint64(pd.ID))
-	}
-}
-
 // traceCompletionIRQ records the completion-interrupt delivery that closes
 // a reconfiguration flow, on the owning client's core.
 func (k *Kernel) traceCompletionIRQ(own pcapOwner, irq int) {
-	if k.Tracer == nil || own.pd.Core == nil {
-		return
-	}
-	k.Tracer.Core(own.pd.Core.ID).Emit(own.pd.Core.Clock.Now(),
-		trace.KindCompletionIRQ, own.flow, uint64(irq), uint64(own.pd.ID))
+	c := own.pd.Core
+	c.ring.Emit(c.Clock.Now(), trace.KindCompletionIRQ, own.flow, uint64(irq), uint64(own.pd.ID))
 }
 
 // traceHwReq closes the client-side span of one hardware-task request:
@@ -115,10 +65,6 @@ func (k *Kernel) traceCompletionIRQ(own pcapOwner, irq int) {
 // after resume (req.ID is stable by then on both the same-core and
 // cross-core paths), backdated to the entry stamp.
 func (k *Kernel) traceHwReq(c *CoreCtx, t0 simclock.Cycles, req *HwRequest) {
-	if k.Tracer == nil {
-		return
-	}
-	now := c.Clock.Now()
-	k.Tracer.Core(c.ID).EmitSpan(t0, since(now, t0),
+	c.ring.EmitSpan(t0, since(c.Clock.Now(), t0),
 		trace.KindHwReq, uint64(req.ID), uint64(req.TaskID), uint64(req.reply))
 }

@@ -41,17 +41,23 @@ type VGIC struct {
 	// level-triggered re-raise a storm produces.
 	Relatched uint64
 
-	// Trace, when set, receives every vGIC state transition
-	// (KindVGICInject / KindVGICEOI / KindVGICRelatch). The kernel's
-	// tracing layer points this at the owning core's event ring; it runs
-	// synchronously inside the operation and must not mutate vGIC state.
-	Trace func(kind trace.Kind, irq int)
+	// owner is the PD this vGIC belongs to (nil for a detached vGIC).
+	// Every state transition (KindVGICInject / KindVGICEOI /
+	// KindVGICRelatch) is recorded on the owner's core ring.
+	owner *PD
 }
 
 type virq struct {
 	enabled   bool
 	inService bool // injected, not yet EOI'd by the guest
 	rePending bool // re-raised while inService; redelivered on EOI
+}
+
+// emit records one vGIC transition on the owning PD's core ring.
+func (v *VGIC) emit(kind trace.Kind, irq int) {
+	if pd := v.owner; pd != nil {
+		pd.Core.ring.Emit(pd.Core.Clock.Now(), kind, 0, uint64(irq), uint64(pd.ID))
+	}
 }
 
 // NewVGIC returns an empty vGIC.
@@ -155,18 +161,14 @@ func (v *VGIC) Inject(irq int) bool {
 		if !e.rePending {
 			e.rePending = true
 			v.Relatched++
-			if v.Trace != nil {
-				v.Trace(trace.KindVGICRelatch, irq)
-			}
+			v.emit(trace.KindVGICRelatch, irq)
 		}
 		return false
 	}
 	e.inService = true
 	v.pending = append(v.pending, irq)
 	v.Injected++
-	if v.Trace != nil {
-		v.Trace(trace.KindVGICInject, irq)
-	}
+	v.emit(trace.KindVGICInject, irq)
 	return true
 }
 
@@ -179,17 +181,13 @@ func (v *VGIC) EOI(irq int) bool {
 		return false
 	}
 	e.inService = false
-	if v.Trace != nil {
-		v.Trace(trace.KindVGICEOI, irq)
-	}
+	v.emit(trace.KindVGICEOI, irq)
 	if e.rePending && e.enabled {
 		e.rePending = false
 		e.inService = true
 		v.pending = append(v.pending, irq)
 		v.Injected++
-		if v.Trace != nil {
-			v.Trace(trace.KindVGICInject, irq)
-		}
+		v.emit(trace.KindVGICInject, irq)
 	}
 	return true
 }

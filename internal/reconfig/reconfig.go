@@ -163,9 +163,9 @@ type Pipeline struct {
 	// (PhaseReconfigCold / PhaseReconfigWarm / PhaseReconfigQWait).
 	Probes *measure.Set
 
-	// Trace, when set, receives the pipeline's journey events (submit,
-	// fill, queue, PCAP start/done). The kernel points it at the ring of
-	// the core that runs the pipeline — the same core Clock belongs to.
+	// Trace receives the pipeline's journey events (submit, fill, queue,
+	// PCAP start/done); nil records nothing. The kernel sets it together
+	// with Clock, to the ring of the core that runs the pipeline.
 	Trace *trace.Ring
 
 	// Inject, when set, is the scenario's deterministic fault plan. It

@@ -171,8 +171,7 @@ type System struct {
 // and must Shutdown it (Run does both).
 func Build(spec Spec) *System {
 	spec = spec.normalized()
-	k := nova.NewKernelSMP(spec.Cores)
-	k.Sched = sched.New(spec.Policy, spec.Cores, simclock.FromMillis(spec.QuantumMs))
+	k := nova.NewKernelSMP(spec.Cores, spec.Policy, simclock.FromMillis(spec.QuantumMs))
 	if spec.Trace {
 		k.EnableTrace()
 	}

@@ -91,21 +91,6 @@ func (n *Node) CPU() int { return n.cpu }
 // Queued reports whether the node is on a runqueue.
 func (n *Node) Queued() bool { return n.queued }
 
-// Observer receives runqueue transitions — the hook the kernel's tracing
-// layer uses to record scheduling decisions. Callbacks fire only on real
-// state changes (an idempotent re-Enqueue of a queued node is silent) and
-// run synchronously inside the operation, which under the kernel's
-// discipline happens on the node's home core or in the epoch commit.
-// Observers must not call back into the Scheduler.
-type Observer interface {
-	// Enqueued fires when a node becomes runnable.
-	Enqueued(n *Node)
-	// Dequeued fires when a node leaves its runqueue.
-	Dequeued(n *Node)
-	// Rotated fires when a CPU's priority ring advances after a quantum.
-	Rotated(cpu, prio int)
-}
-
 // runqueue is one CPU's priority rings — the §III-D run-queue structure,
 // now instantiated per CPU.
 type runqueue struct {
@@ -205,7 +190,6 @@ type Scheduler struct {
 	// partitioned selects the static-partitioning placement rule
 	// (otherwise placement balances; see Place).
 	partitioned bool
-	obs         Observer
 }
 
 // New builds a scheduler for ncpu CPUs with the given default quantum.
@@ -232,12 +216,6 @@ func New(name string, ncpu int, quantum simclock.Cycles) *Scheduler {
 
 // Quantum is the default time slice handed to a freshly picked node.
 func (s *Scheduler) Quantum() simclock.Cycles { return s.quantum }
-
-// Queued reports whether the node is currently runnable.
-func (s *Scheduler) Queued(n *Node) bool { return n.queued }
-
-// SetObserver installs the runqueue-transition hook (nil = none).
-func (s *Scheduler) SetObserver(o Observer) { s.obs = o }
 
 // Place assigns (or re-validates) the node's home CPU from its affinity
 // mask and returns it. Called once per node before its first Enqueue;
@@ -277,31 +255,14 @@ func (s *Scheduler) Place(n *Node) int {
 
 // Rotate advances cpu's ring at the given priority after its head
 // exhausted a quantum.
-func (s *Scheduler) Rotate(cpu, prio int) {
-	s.queues[cpu].rotate(prio)
-	if s.obs != nil {
-		s.obs.Rotated(cpu, prio)
-	}
-}
+func (s *Scheduler) Rotate(cpu, prio int) { s.queues[cpu].rotate(prio) }
 
 // Dequeue removes the node from its runqueue (suspend). Idempotent.
-func (s *Scheduler) Dequeue(n *Node) {
-	was := n.queued
-	s.queues[s.homeOf(n)].dequeue(n)
-	if was && !n.queued && s.obs != nil {
-		s.obs.Dequeued(n)
-	}
-}
+func (s *Scheduler) Dequeue(n *Node) { s.queues[s.homeOf(n)].dequeue(n) }
 
 // Enqueue makes the node runnable on its home CPU's queue, at the tail
 // of its priority ring. Idempotent.
-func (s *Scheduler) Enqueue(n *Node) {
-	was := n.queued
-	s.queues[s.homeOf(n)].enqueue(n)
-	if !was && n.queued && s.obs != nil {
-		s.obs.Enqueued(n)
-	}
-}
+func (s *Scheduler) Enqueue(n *Node) { s.queues[s.homeOf(n)].enqueue(n) }
 
 // Unplace retires the node for good: it leaves its runqueue and its
 // home CPU's placement count, so future Place calls no longer balance

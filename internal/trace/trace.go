@@ -13,6 +13,11 @@
 //   - each simulated core owns one ring, written only while that core
 //     runs (or by the epoch commit phase), so a ring's order is the
 //     core's simulated order;
+//   - the ring is the only emission path: each kernel core context
+//     holds its core's *Ring (nil when tracing is off), the kernel's
+//     sites, vGICs and runqueue transitions emit through it, and the
+//     reconfiguration pipeline holds the ring of the core it runs on,
+//     all unconditionally;
 //   - rings are fixed-capacity and drop-oldest, with a drop counter, so a
 //     long run costs bounded memory and recording never allocates after
 //     ring creation;
@@ -228,10 +233,13 @@ type Event struct {
 const DefaultCapacity = 16384
 
 // Ring is one core's bounded event buffer: fixed capacity, drop-oldest.
-// All methods are nil-receiver-safe so instrumentation sites can record
-// unconditionally; a nil ring swallows the event. A ring must only be
-// written on behalf of its own core (or by the epoch commit phase) —
-// exactly the discipline the rest of the simulated state already obeys.
+// All methods are nil-receiver-safe, so every instrumentation site — the
+// kernel's hypercall, IPC, world-switch, runqueue, vGIC, hardware-request,
+// QoS and epoch events and the reconfiguration pipeline's — records
+// unconditionally; a nil ring (tracing off) swallows the event. A ring
+// must only be written on behalf of its own core (or by the epoch commit
+// phase) — exactly the discipline the rest of the simulated state
+// already obeys.
 type Ring struct {
 	buf   []Event
 	start int // index of the oldest event
