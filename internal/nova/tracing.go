@@ -40,7 +40,7 @@ func (k *Kernel) EnableTrace() *trace.Tracer {
 	for _, c := range k.Cores {
 		c.ring = t.Core(c.ID)
 	}
-	k.bindManagerClocks()
+	k.bindManagerClocks() // an attached pipeline picks up its core's ring
 	return t
 }
 
